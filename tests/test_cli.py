@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -288,3 +289,54 @@ def test_pipeline_error_exit_code(capsys):
         capsys, "derive", "--channel", "pd", "--rate", "1", "--t", "-1",
     )
     assert code == 3
+
+
+# SHA-256 of documents written before derive ran its time points as one
+# stacked pipeline; any change of a single byte in these outputs fails here
+GOLDEN_DERIVE = {
+    "gad_rates_sweep_1000": (
+        ("derive", "--channel", "gad", "--rates", "--x=0.7", "--y=2.5", "--z=0.4",
+         "--t-start", "0", "--t-end", "2", "--steps", "1000"),
+        "86cc8dbb1ad897bfb6d7376a727a6bfb55ced554a4b9e23f25a0d081a2364851",
+    ),
+    # omega = -2: the weight cutoff drops two or three operators per point
+    "gad_zero_temperature_sweep": (
+        ("derive", "--channel", "gad", "--rates", "--x=0.3", "--y=2", "--z=0",
+         "--t-start", "0", "--t-end", "2", "--steps", "50"),
+        "96e54853802fca48ae8eb1972de67d7e4af852e58699a56cf2eb2a49ebd30e32",
+    ),
+    "gad_scaled_tau_sweep": (
+        ("derive", "--channel", "gad", "--scaled", "--theta=1.5", "--omega=-0.6",
+         "--t-start", "0", "--t-end", "3", "--steps", "40"),
+        "5b78ad791488afa548f23a20ea57385af835a898593cbcdb59196193d501a492",
+    ),
+    "pd_physical_sweep": (
+        ("derive", "--channel", "pd", "--physical", "--alpha=0.02", "--omega0=10",
+         "--cutoff=15", "--temperature=100", "--t-start", "0", "--t-end", "1",
+         "--steps", "30"),
+        "ea0e975d31e536ee37cfd408ca9c473ef1147b29c15831afe1ad46e0f22aa84e",
+    ),
+    "gad_physical_shift_point": (
+        ("derive", "--channel", "gad", "--physical", "--alpha=0.02", "--omega0=10",
+         "--cutoff=15", "--temperature=100", "--shift", "--t=0.3"),
+        "ef7a8ddb615f8aa5e867312de4dfa3cabd6b46050f228a08031ed65fd6aba6f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DERIVE))
+def test_derive_golden_bytes(capsys, case):
+    argv, digest = GOLDEN_DERIVE[case]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_report_golden_bytes(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--channel", "all", "--output", str(report))
+    assert code == 0
+    assert (
+        hashlib.sha256(report.read_bytes()).hexdigest()
+        == "70f879384ab89ed4ae6f83978b2619cfbe7f24afe280869154602e4da1feb327"
+    )
