@@ -9,6 +9,7 @@ tolerance. Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -25,12 +26,11 @@ from .errors import KrausForgeError
 from .kraus import (
     WEIGHT_CUTOFF,
     choi_distance,
-    choi_from_propagator,
-    kraus_from_choi,
-    kraus_set_to_dict,
+    kraus_stack,
+    kraus_stack_to_dicts,
     propagate,
 )
-from .linalg import hermitian_eig, matrix_exp
+from .linalg import matrix_exp
 
 
 class ConfigError(Exception):
@@ -83,12 +83,22 @@ def _floats_csv(text: str, what: str) -> list[float]:
         raise ConfigError(f"cannot parse {what} list {text!r}") from exc
 
 
+def _finite(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {number}")
+    return number
+
+
 def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> list[float]:
     if getattr(args, "t", None) is not None:
-        return [args.t]
+        return [_finite(args.t, "t")]
     # for the scaled parameterization the time variable is tau itself
     if param.get("kind") == "scaled" and param.get("tau") is not None:
-        return [float(param["tau"])]
+        return [_finite(param["tau"], "tau")]
     grid = cfg_file.get("time_grid", {})
     start = args.t_start if args.t_start is not None else grid.get("start")
     end = args.t_end if args.t_end is not None else grid.get("end")
@@ -97,7 +107,7 @@ def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> lis
         raise ConfigError(
             "no time specified: use --t, --tau (scaled), or --t-start/--t-end/--steps"
         )
-    start, end, steps = float(start), float(end), int(steps)
+    start, end, steps = _finite(start, "t_start"), _finite(end, "t_end"), int(steps)
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if start > end:
@@ -170,9 +180,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.output = getattr(args, "output", None) or cfg_file.get("output")
     cfg.fmt = getattr(args, "format", None) or cfg_file.get("format") or "json"
     if getattr(args, "weight_cutoff", None) is not None:
-        cfg.weight_cutoff = args.weight_cutoff
+        cfg.weight_cutoff = _finite(args.weight_cutoff, "weight cutoff")
     elif "weight_cutoff" in cfg_file:
-        cfg.weight_cutoff = float(cfg_file["weight_cutoff"])
+        cfg.weight_cutoff = _finite(cfg_file["weight_cutoff"], "weight cutoff")
+    if cfg.weight_cutoff < 0.0:
+        raise ConfigError(f"weight cutoff must be >= 0, got {cfg.weight_cutoff}")
     tolerances = cfg_file.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be an object of name -> value")
@@ -231,14 +243,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # derive
 # ----------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _parameter_errors():
+    """Report channel parameters outside their domain as configuration errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _bath_from_param(param: dict) -> gad_mod.BathSpectrum:
+    return gad_mod.BathSpectrum(
+        alpha=param["alpha"],
+        omega0=param["omega0"],
+        omega_c=param["cutoff"],
+        temperature=param["temperature"],
+    )
+
+
 def _gad_rates_from_param(param: dict) -> gad_mod.GadRates:
     if param["kind"] == "physical":
-        bath = gad_mod.BathSpectrum(
-            alpha=param["alpha"],
-            omega0=param["omega0"],
-            omega_c=param["cutoff"],
-            temperature=param["temperature"],
-        )
+        bath = _bath_from_param(param)
         x = param.get("x")
         if x is None:
             x = gad_mod.hamiltonian_shift(bath) if param.get("shift") else 0.0
@@ -249,66 +274,53 @@ def _gad_rates_from_param(param: dict) -> gad_mod.GadRates:
 
 
 def _derive_document(cfg: RunConfig) -> dict:
-    points = []
     param = cfg.parameterization
-    if cfg.channel == "gad" and param["kind"] == "scaled":
-        for tau in cfg.times:
-            scaled = gad_mod.GadScaled(param["theta"], param["omega"], tau)
+    times = np.asarray(cfg.times, dtype=float)
+    scaled = rates = pd_params = None
+    with _parameter_errors():
+        if cfg.channel == "pd":
+            if param["kind"] == "physical":
+                pd_params = pd_mod.pd_rate_from_physics(_bath_from_param(param))
+            else:
+                pd_params = pd_mod.PdParams(param["rate"])
+            generator = pd_mod.pd_L(pd_params)
+        elif param["kind"] == "scaled":
+            # tau is the evolution time here; the pipeline checks it like any time
+            scaled = gad_mod.GadScaled(param["theta"], param["omega"], 0.0)
             generator = gad_mod.gad_L_scaled(scaled)
-            points.append(_derive_point(generator, tau, cfg.weight_cutoff, scaled=scaled))
-    elif cfg.channel == "gad":
-        rates = _gad_rates_from_param(param)
-        generator = gad_mod.gad_L(rates)
-        for t in cfg.times:
-            points.append(
-                _derive_point(
-                    generator, t, cfg.weight_cutoff, scaled=gad_mod.rescale(rates, t), rates=rates
-                )
-            )
-    else:
-        if param["kind"] == "physical":
-            bath = gad_mod.BathSpectrum(
-                alpha=param["alpha"],
-                omega0=param["omega0"],
-                omega_c=param["cutoff"],
-                temperature=param["temperature"],
-            )
-            pd_params = pd_mod.pd_rate_from_physics(bath)
         else:
-            pd_params = pd_mod.PdParams(param["rate"])
-        generator = pd_mod.pd_L(pd_params)
-        for t in cfg.times:
-            point = _derive_point(generator, t, cfg.weight_cutoff)
+            rates = _gad_rates_from_param(param)
+            scaled = gad_mod.rescale(rates, 0.0)
+            generator = gad_mod.gad_L(rates)
+    # every time point goes through each stage of the pipeline at once
+    stack = kraus_stack(propagate(generator, times), cfg.weight_cutoff)
+    if stack.kept.min() == 0:
+        t = times[int(np.argmin(stack.kept))]
+        raise ConfigError(f"weight cutoff {cfg.weight_cutoff} drops every Kraus operator at t={t}")
+    # tau = (y + z) t / 2, as gad.rescale computes it
+    taus = times if rates is None else 0.5 * (rates.y + rates.z) * times
+    points = []
+    for t, tau, kraus_doc, values in zip(
+        times.tolist(), taus.tolist(), kraus_stack_to_dicts(stack), stack.values.tolist()
+    ):
+        point = {
+            "t": t,
+            "kraus": kraus_doc,
+            "choi_eigenvalues": values,
+            "completeness_residual": kraus_doc["diagnostics"]["completeness_residual"],
+        }
+        if scaled is not None:
+            point["scaled"] = {"theta": scaled.theta, "omega": scaled.omega, "tau": tau}
+        if rates is not None:
+            point["rates"] = {"x": rates.x, "y": rates.y, "z": rates.z}
+        if pd_params is not None:
             point["rate"] = pd_params.r
-            points.append(point)
+        points.append(point)
     return {
         "channel": cfg.channel,
         "parameterization": param,
         "points": points,
     }
-
-
-def _derive_point(
-    generator: np.ndarray,
-    t: float,
-    cutoff: float,
-    scaled: gad_mod.GadScaled | None = None,
-    rates: gad_mod.GadRates | None = None,
-) -> dict:
-    propagator = propagate(generator, t)
-    choi = choi_from_propagator(propagator)
-    kset = kraus_from_choi(choi, cutoff=cutoff)
-    point = {
-        "t": float(t),
-        "kraus": kraus_set_to_dict(kset),
-        "choi_eigenvalues": [float(v) for v in hermitian_eig(choi)[0]],
-        "completeness_residual": kset.completeness_residual(),
-    }
-    if scaled is not None:
-        point["scaled"] = {"theta": scaled.theta, "omega": scaled.omega, "tau": scaled.tau}
-    if rates is not None:
-        point["rates"] = {"x": rates.x, "y": rates.y, "z": rates.z}
-    return point
 
 
 def cmd_derive(cfg: RunConfig) -> int:
@@ -343,52 +355,56 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
 
 
 def _verify_gad_checks() -> list[tuple[str, float, float]]:
-    closed_vs_numeric = 0.0
+    grid = [
+        gad_mod.GadScaled(theta, omega, tau)
+        for theta in _GAD_GRID["theta"]
+        for omega in _GAD_GRID["omega"]
+        for tau in _GAD_GRID["tau"]
+    ]
+    closed_f = np.array([gad_mod.gad_F_closed(scaled) for scaled in grid])
+    numeric_f = matrix_exp(
+        np.array([gad_mod.gad_L_scaled(scaled) for scaled in grid]),
+        [scaled.tau for scaled in grid],
+    )
+    closed_vs_numeric = float(np.abs(closed_f - numeric_f).max())
     spectrum = 0.0
     eig_sum = 0.0
     completeness = 0.0
     closed_vs_pipeline = 0.0
     reference_vs_pipeline = 0.0
     textbook = 0.0
-    for theta in _GAD_GRID["theta"]:
-        for omega in _GAD_GRID["omega"]:
-            for tau in _GAD_GRID["tau"]:
-                scaled = gad_mod.GadScaled(theta, omega, tau)
-                closed_f = gad_mod.gad_F_closed(scaled)
-                numeric_f = matrix_exp(gad_mod.gad_L_scaled(scaled), tau)
-                closed_vs_numeric = max(
-                    closed_vs_numeric, float(np.abs(closed_f - numeric_f).max())
-                )
-                choi = choi_from_propagator(closed_f)
-                pipeline_vals = hermitian_eig(choi)[0]
-                closed_vals = np.sort(gad_mod.gad_choi_eigenvalues(scaled))[::-1]
-                spectrum = max(spectrum, float(np.abs(pipeline_vals - closed_vals).max()))
-                eig_sum = max(eig_sum, abs(float(closed_vals.sum()) - 2.0))
-                pipeline_set = kraus_from_choi(choi)
-                closed_set = gad_mod.gad_kraus_closed(scaled)
-                reference_set = gad_mod.compose_z_rotation(
-                    gad_mod.reference_gad_kraus(gad_mod.ReferenceGadParams.from_scaled(scaled)),
-                    theta * tau,
-                )
-                completeness = max(
-                    completeness,
-                    pipeline_set.completeness_residual(),
-                    closed_set.completeness_residual(),
-                    reference_set.completeness_residual(),
-                )
-                closed_vs_pipeline = max(
-                    closed_vs_pipeline, choi_distance(closed_set, pipeline_set)
-                )
-                reference_vs_pipeline = max(
-                    reference_vs_pipeline, choi_distance(reference_set, pipeline_set)
-                )
-    asymptotic = 0.0
-    for omega in _GAD_GRID["omega"]:
-        pipeline_set = kraus_from_choi(
-            choi_from_propagator(gad_mod.gad_F_closed(gad_mod.GadScaled(0.0, omega, 20.0)))
+    pipeline = kraus_stack(closed_f)
+    for k, scaled in enumerate(grid):
+        closed_vals = np.sort(gad_mod.gad_choi_eigenvalues(scaled))[::-1]
+        spectrum = max(spectrum, float(np.abs(pipeline.values[k] - closed_vals).max()))
+        eig_sum = max(eig_sum, abs(float(closed_vals.sum()) - 2.0))
+        pipeline_set = pipeline.kraus_set(k)
+        closed_set = gad_mod.gad_kraus_closed(scaled)
+        reference_set = gad_mod.compose_z_rotation(
+            gad_mod.reference_gad_kraus(gad_mod.ReferenceGadParams.from_scaled(scaled)),
+            scaled.theta * scaled.tau,
         )
+        completeness = max(
+            completeness,
+            pipeline_set.completeness_residual(),
+            closed_set.completeness_residual(),
+            reference_set.completeness_residual(),
+        )
+        closed_vs_pipeline = max(
+            closed_vs_pipeline, choi_distance(closed_set, pipeline_set)
+        )
+        reference_vs_pipeline = max(
+            reference_vs_pipeline, choi_distance(reference_set, pipeline_set)
+        )
+    asymptotic = 0.0
+    limits = kraus_stack(
+        np.array(
+            [gad_mod.gad_F_closed(gad_mod.GadScaled(0.0, omega, 20.0)) for omega in _GAD_GRID["omega"]]
+        )
+    )
+    for k, omega in enumerate(_GAD_GRID["omega"]):
         asymptotic = max(
-            asymptotic, choi_distance(pipeline_set, gad_mod.gad_kraus_asymptotic(omega))
+            asymptotic, choi_distance(limits.kraus_set(k), gad_mod.gad_kraus_asymptotic(omega))
         )
     for tau in _GAD_GRID["tau"]:
         lam = -math.expm1(-2.0 * tau)
@@ -413,13 +429,14 @@ def _verify_gad_checks() -> list[tuple[str, float, float]]:
 
 def _verify_pd_checks() -> list[tuple[str, float, float]]:
     params = pd_mod.PdParams(1.0)
-    generator = pd_mod.pd_L(params)
+    times = (0.1, 1.0, 5.0)
+    pipeline = kraus_stack(propagate(pd_mod.pd_L(params), times))
     pipeline_vs_closed = 0.0
     pipeline_vs_standard = 0.0
     completeness = 0.0
     bloch_residual = 0.0
-    for t in (0.1, 1.0, 5.0):
-        pipeline_set = kraus_from_choi(choi_from_propagator(propagate(generator, t)))
+    for k, t in enumerate(times):
+        pipeline_set = pipeline.kraus_set(k)
         closed_set = pd_mod.pd_kraus(params, t)
         standard_set = pd_mod.pd_standard_kraus(-math.expm1(-2.0 * params.r * t))
         completeness = max(

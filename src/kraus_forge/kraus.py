@@ -10,6 +10,7 @@ distinct Kraus sets related by unitary mixing describe the same channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,19 +86,86 @@ def identity_kraus_set() -> KrausSet:
     return KrausSet((SIGMA_I,), (2.0,))
 
 
-def propagate(generator_matrix: np.ndarray, t: float) -> np.ndarray:
-    """Propagator F = exp(L t) for a constant generator matrix L."""
-    if t < 0.0:
-        raise NegativeTime(f"propagation time must be >= 0, got {t}")
-    return matrix_exp(np.asarray(generator_matrix, dtype=float), t)
+def propagate(generator_matrix: np.ndarray, t) -> np.ndarray:
+    """Propagator F = exp(L t) for a constant generator matrix L.
+
+    ``t`` is one time or an array of times; an array gives the stack of
+    propagators, of shape ``t.shape + (4, 4)``.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0.0):
+        raise NegativeTime(f"propagation time must be >= 0, got {times.min()}")
+    return matrix_exp(np.asarray(generator_matrix, dtype=float), times)
 
 
-def choi_from_propagator(
-    propagator: np.ndarray,
-    basis: np.ndarray | None = None,
+class KrausStack(NamedTuple):
+    """A stack of channels, each decomposed once: Choi matrix, spectrum, Kraus set.
+
+    ``operators[k, i]`` is the Kraus operator of eigenvalue ``values[k, i]``
+    (descending) and eigenvector ``vectors[k, :, i]``. Operators whose
+    eigenvalue is at or below the weight cutoff are zero; ``kept[k]`` counts
+    the others, which come first.
+    """
+
+    choi: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    operators: np.ndarray
+    kept: np.ndarray
+
+    def kraus_set(self, k: int) -> KrausSet:
+        """The Kraus set of member ``k``."""
+        n = int(self.kept[k])
+        return KrausSet(tuple(self.operators[k, :n]), tuple(self.values[k, :n]))
+
+
+def _decompose(choi: np.ndarray, cutoff: float, cp_tol: float) -> KrausStack:
+    # one eigendecomposition per Choi matrix feeds the CP check and the
+    # Kraus operators sqrt(d_i) sum_j u_ji G_j
+    values, vectors = hermitian_eig(choi)
+    smallest = values[:, -1]
+    if np.any(smallest < cp_tol):
+        raise NotCompletelyPositive(
+            f"Choi eigenvalue {smallest.min():.3e} below tolerance {cp_tol:.1e}"
+        )
+    keep = values > cutoff
+    roots = np.zeros_like(values)
+    roots[keep] = np.sqrt(values[keep])
+    operators = roots[:, :, None] * (vectors.transpose(0, 2, 1) @ _G.reshape(4, 4))
+    return KrausStack(
+        choi, values, vectors, operators.reshape(-1, 4, 2, 2), keep.sum(axis=1)
+    )
+
+
+def kraus_stack(
+    propagators: np.ndarray,
+    cutoff: float = WEIGHT_CUTOFF,
     *,
     cp_tol: float = CP_TOLERANCE,
-) -> np.ndarray:
+) -> KrausStack:
+    """Choi matrices and Kraus sets of a stack of propagators, shape (k, 4, 4).
+
+    Checks trace preservation (first row (1,0,0,0) within 1e-10), folds each
+    propagator into its Hermitian Choi matrix of trace 2, decomposes it once,
+    checks complete positivity (eigenvalues >= cp_tol), and keeps one Kraus
+    operator per eigenvalue above ``cutoff``. A 2-D input is a stack of one.
+    """
+    f = np.asarray(propagators, dtype=complex)
+    if f.shape[-2:] != (4, 4):
+        raise ValueError(f"propagators must be 4x4, got {f.shape}")
+    f = f.reshape(-1, 4, 4)
+    row_dev = np.abs(f[:, 0] - np.array([1.0, 0, 0, 0])).max(axis=1)
+    drifted = row_dev > 1e-10
+    if np.any(drifted):
+        raise NotTracePreserving(
+            f"first propagator row deviates from (1,0,0,0) by {row_dev[drifted].max():.3e}"
+        )
+    choi = np.einsum("bsr,rnsm->bnm", f, _TRACE_TENSOR)
+    choi = (choi + choi.conj().transpose(0, 2, 1)) / 2.0
+    return _decompose(choi, cutoff, cp_tol)
+
+
+def choi_from_propagator(propagator: np.ndarray, *, cp_tol: float = CP_TOLERANCE) -> np.ndarray:
     """Choi matrix of the channel encoded by a propagator.
 
     Checks trace preservation (first row (1,0,0,0) within 1e-10) and
@@ -107,31 +175,10 @@ def choi_from_propagator(
     f = np.asarray(propagator, dtype=complex)
     if f.shape != (4, 4):
         raise ValueError(f"propagator must be 4x4, got {f.shape}")
-    row_dev = float(np.abs(f[0] - np.array([1.0, 0, 0, 0])).max())
-    if row_dev > 1e-10:
-        raise NotTracePreserving(
-            f"first propagator row deviates from (1,0,0,0) by {row_dev:.3e}"
-        )
-    if basis is None:
-        tensor = _TRACE_TENSOR
-    else:
-        g = np.asarray(basis, dtype=complex)
-        tensor = np.einsum("rab,nbc,scd,mda->rnsm", g, g, g, g)
-    choi = np.einsum("sr,rnsm->nm", f, tensor)
-    choi = (choi + choi.conj().T) / 2.0
-    smallest = float(np.min(hermitian_eig(choi)[0]))
-    if smallest < cp_tol:
-        raise NotCompletelyPositive(
-            f"Choi eigenvalue {smallest:.3e} below tolerance {cp_tol:.1e}"
-        )
-    return choi
+    return kraus_stack(f, cp_tol=cp_tol).choi[0]
 
 
-def kraus_from_choi(
-    choi: np.ndarray,
-    basis: np.ndarray | None = None,
-    cutoff: float = WEIGHT_CUTOFF,
-) -> KrausSet:
+def kraus_from_choi(choi: np.ndarray, cutoff: float = WEIGHT_CUTOFF) -> KrausSet:
     """Kraus operators from the eigendecomposition of a Choi matrix.
 
     One operator sqrt(d_i) sum_j u_ji G_j per eigenvalue d_i above ``cutoff``,
@@ -140,28 +187,16 @@ def kraus_from_choi(
     NotCompletelyPositive.
     """
     s = np.asarray(choi, dtype=complex)
+    if s.shape != (4, 4):
+        raise ValueError(f"Choi matrix must be 4x4, got {s.shape}")
     if max_nonhermiticity(s) > 1e-12:
         raise ValueError("Choi matrix must be Hermitian within 1e-12")
-    g = hermitian_basis() if basis is None else np.asarray(basis, dtype=complex)
-    values, vectors = hermitian_eig(s)
-    if values[-1] < CP_TOLERANCE:
-        raise NotCompletelyPositive(
-            f"Choi eigenvalue {values[-1]:.3e} below tolerance {CP_TOLERANCE:.1e}"
-        )
-    operators = []
-    weights = []
-    for i, d in enumerate(values):
-        if d <= cutoff:
-            continue
-        operators.append(np.sqrt(d) * np.tensordot(vectors[:, i], g, axes=(0, 0)))
-        weights.append(float(d))
-    return KrausSet(tuple(operators), tuple(weights))
+    return _decompose(s[None], cutoff, CP_TOLERANCE).kraus_set(0)
 
 
-def kraus_to_choi(kset: KrausSet, basis: np.ndarray | None = None) -> np.ndarray:
+def kraus_to_choi(kset: KrausSet) -> np.ndarray:
     """Choi matrix of the channel a Kraus set implements."""
-    g = hermitian_basis() if basis is None else np.asarray(basis, dtype=complex)
-    coeffs = np.einsum("jab,iba->ji", g, np.stack(kset.operators))
+    coeffs = np.einsum("jab,iba->ji", _G, np.stack(kset.operators))
     return coeffs @ coeffs.conj().T
 
 
@@ -198,20 +233,40 @@ def choi_distance(first: KrausSet, second: KrausSet) -> float:
     return float(np.linalg.norm(kraus_to_choi(first) - kraus_to_choi(second)))
 
 
+def _kraus_dicts(operators: np.ndarray, weights: np.ndarray, kept: np.ndarray) -> list[dict]:
+    # operators (k, m, 2, 2) and weights (k, m); member k uses its first
+    # kept[k] of them, and the rest are zero. The Choi matrix is rebuilt
+    # from the operators and decomposed again, as an independent check of
+    # the set, in one stacked call
+    coeffs = np.einsum("jab,kiba->kji", _G, operators)
+    rebuilt = hermitian_eig(coeffs @ coeffs.conj().transpose(0, 2, 1))[0]
+    gram = operators.conj().transpose(0, 1, 3, 2) @ operators
+    total = gram[:, 0]
+    for i in range(1, gram.shape[1]):
+        total = total + gram[:, i]
+    residuals = np.abs(total - SIGMA_I).max(axis=(1, 2))
+    pairs = np.stack([operators.real, operators.imag], axis=-1).tolist()
+    return [
+        {
+            "operators": ops[:n],
+            "weights": w[:n],
+            "diagnostics": {"completeness_residual": r, "choi_eigenvalues": d},
+        }
+        for ops, w, n, r, d in zip(
+            pairs, weights.tolist(), kept.tolist(), residuals.tolist(), rebuilt.tolist()
+        )
+    ]
+
+
+def kraus_stack_to_dicts(stack: KrausStack) -> list[dict]:
+    """JSON-ready documents of every member's Kraus set, as kraus_set_to_dict."""
+    return _kraus_dicts(stack.operators, stack.values, stack.kept)
+
+
 def kraus_set_to_dict(kset: KrausSet) -> dict:
     """JSON-ready document: operators as [re, im] pairs plus diagnostics."""
-    choi_values = hermitian_eig(kraus_to_choi(kset))[0]
-    return {
-        "operators": [
-            [[[float(x.real), float(x.imag)] for x in row] for row in op]
-            for op in kset.operators
-        ],
-        "weights": [float(w) for w in kset.weights],
-        "diagnostics": {
-            "completeness_residual": kset.completeness_residual(),
-            "choi_eigenvalues": [float(v) for v in choi_values],
-        },
-    }
+    operators = np.stack(kset.operators)[None]
+    return _kraus_dicts(operators, np.array([kset.weights]), np.array([len(kset)]))[0]
 
 
 def kraus_set_from_dict(doc: dict) -> KrausSet:

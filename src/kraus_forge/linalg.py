@@ -42,9 +42,18 @@ def hermitian_basis() -> np.ndarray:
 
 
 def max_nonhermiticity(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation |M - M^dag|."""
+    """Largest entrywise deviation |M - M^dag|, over a whole stack if given one."""
     m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max())
+    return float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max())
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # equal to the scalar abs() bit for bit, which np.abs on arrays is not
+    return np.hypot(z.real, z.imag)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().transpose(0, 2, 1)) / 2.0
 
 
 def hermitian_eig(
@@ -53,71 +62,107 @@ def hermitian_eig(
     hermiticity_tol: float = 1e-12,
     max_sweeps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of small Hermitian matrices by cyclic Jacobi rotations.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as the matching columns of a unitary
-    matrix. Each eigenvector is rephased so that its largest-magnitude
-    component is real and positive (ties broken by the lowest index); this
-    pins the output across runs and platforms.
+    ``matrix`` is one (n, n) matrix or a stack (..., n, n); the result has
+    the same leading shape. Returns ``(eigenvalues, eigenvectors)`` with
+    eigenvalues sorted in descending order and eigenvectors as the matching
+    columns of a unitary matrix. Each eigenvector is rephased so that its
+    largest-magnitude component is real and positive (ties broken by the
+    lowest index); this pins the output across runs and platforms.
 
-    Raises NonHermitianInput if ``matrix`` deviates from Hermiticity by more
+    The iteration runs on the whole stack at once, but every member gets the
+    rotations, sweep count and roundoff it would get alone: a member leaves
+    the iteration once its off-diagonal mass is below 1e-15 of its Frobenius
+    norm, and a pivot below 1e-300 in magnitude is skipped.
+
+    Raises NonHermitianInput if a member deviates from Hermiticity by more
     than ``hermiticity_tol``, and ConvergenceFailure if the off-diagonal mass
-    does not vanish within ``max_sweeps`` cyclic sweeps.
+    of a member does not vanish within ``max_sweeps`` cyclic sweeps.
     """
     a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonHermitianInput(f"expected a square matrix, got shape {a.shape}")
-    deviation = max_nonhermiticity(a)
+    shape = a.shape
+    if a.ndim < 2 or shape[-1] != shape[-2]:
+        raise NonHermitianInput(f"expected a square matrix or a stack of them, got shape {shape}")
+    a = a.reshape(-1, *shape[-2:])
+    deviation = max_nonhermiticity(a) if a.size else 0.0
     if deviation > hermiticity_tol:
         raise NonHermitianInput(
             f"max |M - M^dag| = {deviation:.3e} exceeds {hermiticity_tol:.1e}"
         )
-    a = (a + a.conj().T) / 2.0
-    n = a.shape[0]
-    vectors = np.eye(n, dtype=complex)
+    a = _hermitian_part(a)
+    count, n = a.shape[0], a.shape[1]
+    identity = np.repeat(np.eye(n, dtype=complex)[None], count, axis=0)
+    vectors = identity.copy()
 
-    scale = float(np.linalg.norm(a))
-    if scale > 0.0:
-        off_tol = 1e-15 * scale
-        for _ in range(max_sweeps):
-            off = max(
-                abs(a[p, q]) for p in range(n - 1) for q in range(p + 1, n)
+    # Frobenius norms; this product is np.linalg.norm's dot bit for bit, and
+    # the norm sets the convergence threshold
+    flat = a.reshape(count, 1, n * n)
+    squares = flat.real @ flat.real.transpose(0, 2, 1) + flat.imag @ flat.imag.transpose(0, 2, 1)
+    scale = np.sqrt(squares[:, 0, 0])
+    off_tol = 1e-15 * scale
+    # the (p, q) pairs of one cyclic sweep, in row-major order
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    # the members still rotating, as indices into the stack and as working
+    # copies; a member is written back and dropped once it has converged
+    members = np.nonzero(scale > 0.0)[0]
+    work, work_vectors, work_tol = a[members], vectors[members], off_tol[members]
+    for _ in range(max_sweeps):
+        done = _magnitude(work[:, rows, cols]).max(axis=1, initial=0.0) <= work_tol
+        if done.any():
+            a[members[done]] = work[done]
+            vectors[members[done]] = work_vectors[done]
+            rest = ~done
+            members, work, work_vectors, work_tol = (
+                members[rest], work[rest], work_vectors[rest], work_tol[rest]
             )
-            if off <= off_tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    mag = abs(a[p, q])
-                    if mag <= 1e-300:
-                        continue
-                    phase = a[p, q] / mag
-                    beta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                    sgn = 1.0 if beta >= 0.0 else -1.0
-                    t = -sgn / (abs(beta) + np.hypot(1.0, beta))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    rot = np.eye(n, dtype=complex)
-                    rot[p, p] = c
-                    rot[q, q] = c
-                    rot[p, q] = -s * phase
-                    rot[q, p] = s * np.conj(phase)
-                    a = rot.conj().T @ a @ rot
-                    vectors = vectors @ rot
-            a = (a + a.conj().T) / 2.0
-        else:
-            raise ConvergenceFailure(
-                f"off-diagonal mass did not settle within {max_sweeps} sweeps"
-            )
+        if members.size == 0:
+            break
+        for p, q in pairs:
+            pivot = work[:, p, q]
+            mag = _magnitude(pivot)
+            # only members with a pivot above 1e-300 rotate; this is all of
+            # them unless some have already cleared this entry
+            live = None
+            small = mag <= 1e-300
+            if small.any():
+                if small.all():
+                    continue
+                live = ~small
+                pivot, mag = pivot[live], mag[live]
+            sub = work if live is None else work[live]
+            phase = pivot / mag
+            beta = (sub[:, q, q].real - sub[:, p, p].real) / (2.0 * mag)
+            t = np.where(beta >= 0.0, -1.0, 1.0) / (np.abs(beta) + np.hypot(1.0, beta))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            rot = identity[: mag.size].copy()
+            rot[:, p, p] = c
+            rot[:, q, q] = c
+            rot[:, p, q] = -s * phase
+            rot[:, q, p] = s * np.conj(phase)
+            sub = rot.conj().transpose(0, 2, 1) @ sub @ rot
+            if live is None:
+                work = sub
+                work_vectors = work_vectors @ rot
+            else:
+                work[live] = sub
+                work_vectors[live] = work_vectors[live] @ rot
+        work = _hermitian_part(work)
+    else:
+        raise ConvergenceFailure(
+            f"off-diagonal mass did not settle within {max_sweeps} sweeps"
+        )
 
-    values = a.diagonal().real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for i in range(n):
-        pivot = vectors[int(np.argmax(np.abs(vectors[:, i]))), i]
-        vectors[:, i] *= np.conj(pivot) / abs(pivot)
-    return values, vectors
+    values = a.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(-values, axis=1, kind="stable")
+    stack = np.arange(count)[:, None]
+    values = values[stack, order]
+    vectors = vectors[stack, :, order].transpose(0, 2, 1)
+    pivots = vectors[stack, np.argmax(_magnitude(vectors), axis=1), np.arange(n)]
+    vectors *= (np.conj(pivots) / _magnitude(pivots))[:, None, :]
+    return values.reshape(shape[:-1]), vectors.reshape(shape)
 
 
 # Degree-13 diagonal Pade approximant coefficients and its 1-norm threshold
@@ -143,8 +188,13 @@ _PADE13 = (
 _PADE13_THETA = 5.371920351148152
 
 
-def matrix_exp(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def matrix_exp(matrix: np.ndarray, scale=1.0) -> np.ndarray:
     """exp(matrix * scale) by scaling and squaring with a degree-13 Pade kernel.
+
+    ``matrix`` is one (n, n) matrix or a stack (..., n, n). ``scale`` is a
+    number or an array; its shape broadcasts against the stack's leading
+    shape, so ``matrix_exp(L, times)`` exponentiates one generator at many
+    times. Each member is handled as it would be alone.
 
     The scaled matrix is divided by a power of two until its 1-norm is below
     5.3719, evaluated with the [13/13] diagonal Pade approximant, and squared
@@ -157,27 +207,29 @@ def matrix_exp(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
     error.
     """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        x = a * float(scale)
+        x = a * np.asarray(scale, dtype=float)[..., None, None]
+    shape = x.shape
+    x = x.reshape(-1, *shape[-2:])
     if not np.all(np.isfinite(x)):
         raise OverflowDetected("non-finite entries in the scaled matrix")
-    n = x.shape[0]
-    eye = np.eye(n, dtype=x.dtype)
-    norm1 = float(np.abs(x).sum(axis=0).max())
-    if norm1 == 0.0:
-        return eye.copy()
+    eye = np.eye(shape[-1], dtype=x.dtype)
+    with np.errstate(over="ignore"):
+        norm1 = np.abs(x).sum(axis=1).max(axis=1, initial=0.0)
     # Only a norm above the threshold needs scaling; the ratio is then above 1,
     # so its log2 cannot underflow to -inf as it would for a subnormal norm.
-    squarings = 0
-    if norm1 > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm1 / _PADE13_THETA)))
-    if squarings > 60:
+    needed = np.zeros(norm1.shape)
+    above = norm1 > _PADE13_THETA
+    needed[above] = np.ceil(np.log2(norm1[above] / _PADE13_THETA))
+    if np.any(needed > 60):
+        worst = int(np.argmax(needed))
         raise OverflowDetected(
-            f"1-norm {norm1:.3e} would need {squarings} squarings"
+            f"1-norm {norm1[worst]:.3e} would need {needed[worst]:.0f} squarings"
         )
-    x = x / (2.0**squarings)
+    squarings = needed.astype(int)
+    x = x / np.ldexp(1.0, squarings)[:, None, None]
 
     b = _PADE13
     x2 = x @ x
@@ -199,8 +251,13 @@ def matrix_exp(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
     )
     result = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            result = result @ result
+        for step in range(squarings.max(initial=0)):
+            square = squarings > step
+            if square.all():
+                result = result @ result
+            else:
+                result[square] = result[square] @ result[square]
     if not np.all(np.isfinite(result)):
         raise OverflowDetected("matrix exponential overflowed while squaring")
-    return result
+    result[norm1 == 0.0] = eye
+    return result.reshape(shape)

@@ -283,6 +283,46 @@ def test_derive_subnormal_time(capsys, argv):
     assert doc["points"][0]["t"] == 5e-324
 
 
+_SWEEP_ZERO_TEMPERATURE = (
+    "derive", "--channel", "gad", "--rates", "--x=0.3", "--y=2", "--z=0",
+    "--t-start", "0", "--t-end", "2", "--steps", "50",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # parameters outside the channel's domain are configuration errors
+        (("derive", "--channel", "gad", "--scaled", "--theta", "50", "--omega=-3",
+          "--tau", "40"), 2),
+        (("derive", "--channel", "gad", "--rates", "--x", "0", "--y=1", "--z=2",
+          "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--rate=-1", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--physical", "--alpha=-1", "--omega0", "10",
+          "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
+        # non-finite times and unusable weight cutoffs are configuration errors
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "nan"), 2),
+        (("derive", "--channel", "pd", "--rate", "1", "--t-start", "0",
+          "--t-end", "inf", "--steps", "3"), 2),
+        ((*_SWEEP_ZERO_TEMPERATURE, "--weight-cutoff=-1"), 2),
+        ((*_SWEEP_ZERO_TEMPERATURE, "--weight-cutoff", "nan"), 2),
+        ((*_SWEEP_ZERO_TEMPERATURE, "--weight-cutoff", "5"), 2),
+        # backward evolution is rejected inside the pipeline on every route
+        (("derive", "--channel", "gad", "--rates", "--x", "0", "--y=2", "--z=1",
+          "--t=-1"), 3),
+        (("derive", "--channel", "gad", "--scaled", "--theta", "1", "--omega=-1",
+          "--tau=-1"), 3),
+        (("derive", "--channel", "gad", "--rates", "--x", "0", "--y=2", "--z=1",
+          "--t-start=-1", "--t-end", "1", "--steps", "3"), 3),
+    ],
+)
+def test_derive_rejects_bad_input_with_documented_exit_code(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_pipeline_error_exit_code(capsys):
     # backward evolution is rejected inside the pipeline
     code, _, err = run_cli(

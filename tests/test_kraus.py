@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from kraus_forge.kraus import (
     kraus_from_choi,
     kraus_set_from_dict,
     kraus_set_to_dict,
+    kraus_stack,
+    kraus_stack_to_dicts,
     kraus_to_choi,
     propagate,
 )
@@ -279,3 +283,32 @@ def test_serialization_round_trip():
     for original, copy in zip(kset.operators, rebuilt.operators):
         assert np.abs(original - copy).max() == 0.0
     assert doc["diagnostics"]["choi_eigenvalues"][0] >= doc["diagnostics"]["choi_eigenvalues"][-1]
+
+
+@pytest.mark.parametrize("rates", [(0.7, 2.5, 0.4), (0.3, 2.0, 0.0)])
+def test_kraus_stack_equals_single_point_calls(rates):
+    # the stacked chain gives every point exactly what the one-point calls
+    # give, including the points where the cutoff drops operators
+    from kraus_forge.gad import GadRates, gad_L
+
+    gen = gad_L(GadRates(*rates))
+    times = np.linspace(0.0, 2.0, 25)
+    propagators = propagate(gen, times)
+    stack = kraus_stack(propagators)
+    docs = kraus_stack_to_dicts(stack)
+    for k, t in enumerate(times):
+        prop = propagate(gen, t)
+        assert np.array_equal(propagators[k], prop)
+        choi = choi_from_propagator(prop)
+        assert np.array_equal(stack.choi[k], choi)
+        kset = kraus_from_choi(choi)
+        assert stack.values[k].tolist() == hermitian_eig(choi)[0].tolist()
+        assert stack.kraus_set(k).weights == kset.weights
+        for stacked_op, op in zip(stack.kraus_set(k).operators, kset.operators, strict=True):
+            assert np.array_equal(stacked_op, op)
+        assert json.dumps(docs[k]) == json.dumps(kraus_set_to_dict(kset))
+
+
+def test_propagate_rejects_any_negative_time():
+    with pytest.raises(NegativeTime):
+        propagate(np.zeros((4, 4)), [0.0, 1.0, -0.5])

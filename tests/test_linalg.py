@@ -205,3 +205,108 @@ def test_matrix_exp_overflow_detection():
         matrix_exp(np.full((4, 4), 1e308), 10.0)
     with pytest.raises(OverflowDetected):
         matrix_exp(np.diag([1e9, 1e9, 1e9, 1e9]), 1.0)
+
+
+def _same_bits(first, second):
+    # equal values and equal signs of zero, in the real and imaginary parts
+    first, second = np.asarray(first), np.asarray(second)
+    return (
+        first.shape == second.shape
+        and np.array_equal(first, second)
+        and np.array_equal(np.signbit(first.real), np.signbit(second.real))
+        and np.array_equal(np.signbit(np.imag(first)), np.signbit(np.imag(second)))
+    )
+
+
+_ENTRY = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_member(draw):
+    kind = draw(st.sampled_from(("general", "zero", "diagonal", "degenerate")))
+    if kind == "zero":
+        return np.zeros((4, 4), dtype=complex)
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(_ENTRY, min_size=4, max_size=4))).astype(complex)
+    re = np.array(draw(st.lists(_ENTRY, min_size=16, max_size=16))).reshape(4, 4)
+    im = np.array(draw(st.lists(_ENTRY, min_size=16, max_size=16))).reshape(4, 4)
+    m = re + 1j * im
+    m = (m + m.conj().T) / 2
+    if kind == "degenerate":
+        # a unitary from the drawn matrix, and a doubly repeated spectrum
+        unitary = np.linalg.qr(m + 20.0 * np.eye(4))[0]
+        level = draw(_ENTRY)
+        m = unitary @ np.diag([level, level, -level, -level]) @ unitary.conj().T
+        m = (m + m.conj().T) / 2
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(_hermitian_member(), min_size=1, max_size=6))
+def test_eig_stack_equals_loop(members):
+    stack = np.array(members)
+    values, vectors = hermitian_eig(stack)
+    assert values.shape == (len(members), 4) and vectors.shape == stack.shape
+    for k, member in enumerate(members):
+        alone_values, alone_vectors = hermitian_eig(member)
+        assert _same_bits(values[k], alone_values)
+        assert _same_bits(vectors[k], alone_vectors)
+
+
+_GENERATOR = np.array(
+    [[0, 0, 0, 0], [0, -1, -1, 0], [0, 1, -1, 0], [-1, 0, 0, -2]], dtype=float
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scales=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.just(5e-324),
+            st.floats(min_value=1e-3, max_value=200.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    entries=st.lists(_ENTRY, min_size=16, max_size=16),
+)
+def test_matrix_exp_stack_equals_loop(scales, entries):
+    # members with norms from zero and subnormal up to several squarings
+    generators = [_GENERATOR, np.array(entries).reshape(4, 4) / 10.0]
+    stack = np.array([generators[k % 2] * s for k, s in enumerate(scales)])
+    stacked = matrix_exp(stack)
+    for k, member in enumerate(stack):
+        assert _same_bits(stacked[k], matrix_exp(member))
+    # one generator at many times: the scale broadcasts over the stack
+    swept = matrix_exp(_GENERATOR, scales)
+    for k, s in enumerate(scales):
+        assert _same_bits(swept[k], matrix_exp(_GENERATOR, s))
+
+
+def _with_member(bad):
+    good = np.diag([1.0, 0.5, 0.25, 0.0]).astype(complex)
+    return np.array([good, bad, good])
+
+
+@pytest.mark.parametrize(
+    "function, bad, error",
+    [
+        (hermitian_eig, np.triu(np.ones((4, 4))).astype(complex), NonHermitianInput),
+        (matrix_exp, np.full((4, 4), np.nan), OverflowDetected),
+        (matrix_exp, np.full((4, 4), np.inf), OverflowDetected),
+        # finite, but the 1-norm itself overflows
+        (matrix_exp, np.full((4, 4), 1e308), OverflowDetected),
+        # would need more than 60 squarings
+        (matrix_exp, np.diag([1e30, 0.0, 0.0, 0.0]), OverflowDetected),
+        # overflows while squaring
+        (matrix_exp, np.diag([800.0, 0.0, 0.0, 0.0]), OverflowDetected),
+    ],
+)
+def test_stack_with_one_bad_member_raises_its_error(function, bad, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            function(bad)
+        with pytest.raises(error):
+            function(_with_member(bad))
