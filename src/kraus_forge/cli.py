@@ -9,7 +9,6 @@ tolerance. Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -107,7 +106,11 @@ def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> lis
         raise ConfigError(
             "no time specified: use --t, --tau (scaled), or --t-start/--t-end/--steps"
         )
-    start, end, steps = _finite(start, "t_start"), _finite(end, "t_end"), int(steps)
+    start, end = _finite(start, "t_start"), _finite(end, "t_end")
+    try:
+        steps = int(steps)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"steps must be an integer, got {steps!r}") from exc
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if start > end:
@@ -243,15 +246,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # derive
 # ----------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _parameter_errors():
-    """Report channel parameters outside their domain as configuration errors."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _bath_from_param(param: dict) -> gad_mod.BathSpectrum:
     return gad_mod.BathSpectrum(
         alpha=param["alpha"],
@@ -277,7 +271,9 @@ def _derive_document(cfg: RunConfig) -> dict:
     param = cfg.parameterization
     times = np.asarray(cfg.times, dtype=float)
     scaled = rates = pd_params = None
-    with _parameter_errors():
+    taus = times
+    # a parameter outside the channel's domain is a configuration error
+    try:
         if cfg.channel == "pd":
             if param["kind"] == "physical":
                 pd_params = pd_mod.pd_rate_from_physics(_bath_from_param(param))
@@ -290,15 +286,17 @@ def _derive_document(cfg: RunConfig) -> dict:
             generator = gad_mod.gad_L_scaled(scaled)
         else:
             rates = _gad_rates_from_param(param)
-            scaled = gad_mod.rescale(rates, 0.0)
+            # tau is linear in t, so the unit-time rescale gives its factor
+            scaled = gad_mod.rescale(rates, 1.0)
+            taus = scaled.tau * times
             generator = gad_mod.gad_L(rates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # every time point goes through each stage of the pipeline at once
     stack = kraus_stack(propagate(generator, times), cfg.weight_cutoff)
     if stack.kept.min() == 0:
         t = times[int(np.argmin(stack.kept))]
         raise ConfigError(f"weight cutoff {cfg.weight_cutoff} drops every Kraus operator at t={t}")
-    # tau = (y + z) t / 2, as gad.rescale computes it
-    taus = times if rates is None else 0.5 * (rates.y + rates.z) * times
     points = []
     for t, tau, kraus_doc, values in zip(
         times.tolist(), taus.tolist(), kraus_stack_to_dicts(stack), stack.values.tolist()

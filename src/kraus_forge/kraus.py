@@ -101,15 +101,14 @@ def propagate(generator_matrix: np.ndarray, t) -> np.ndarray:
 class KrausStack(NamedTuple):
     """A stack of channels, each decomposed once: Choi matrix, spectrum, Kraus set.
 
-    ``operators[k, i]`` is the Kraus operator of eigenvalue ``values[k, i]``
-    (descending) and eigenvector ``vectors[k, :, i]``. Operators whose
-    eigenvalue is at or below the weight cutoff are zero; ``kept[k]`` counts
-    the others, which come first.
+    ``operators[k, i]`` is the Kraus operator of Choi eigenvalue
+    ``values[k, i]`` (descending). Operators whose eigenvalue is at or below
+    the weight cutoff are zero; ``kept[k]`` counts the others, which come
+    first.
     """
 
     choi: np.ndarray
     values: np.ndarray
-    vectors: np.ndarray
     operators: np.ndarray
     kept: np.ndarray
 
@@ -132,9 +131,7 @@ def _decompose(choi: np.ndarray, cutoff: float, cp_tol: float) -> KrausStack:
     roots = np.zeros_like(values)
     roots[keep] = np.sqrt(values[keep])
     operators = roots[:, :, None] * (vectors.transpose(0, 2, 1) @ _G.reshape(4, 4))
-    return KrausStack(
-        choi, values, vectors, operators.reshape(-1, 4, 2, 2), keep.sum(axis=1)
-    )
+    return KrausStack(choi, values, operators.reshape(-1, 4, 2, 2), keep.sum(axis=1))
 
 
 def kraus_stack(

@@ -167,6 +167,17 @@ def test_derive_bad_config_file(capsys, tmp_path):
     config.write_text("{not json")
     code, _, err = run_cli(capsys, "derive", "--config", str(config))
     assert code == 2
+    config.write_text(
+        json.dumps(
+            {
+                "channel": "pd",
+                "parameterization": {"kind": "rates", "rate": 1.0},
+                "time_grid": {"start": 0.0, "end": 1.0, "steps": "many"},
+            }
+        )
+    )
+    code, _, err = run_cli(capsys, "derive", "--config", str(config))
+    assert code == 2
 
 
 def test_verify_passes(capsys):
