@@ -391,3 +391,37 @@ def test_verify_report_golden_bytes(capsys, tmp_path):
         hashlib.sha256(report.read_bytes()).hexdigest()
         == "70f879384ab89ed4ae6f83978b2619cfbe7f24afe280869154602e4da1feb327"
     )
+
+
+def _directory_digest(directory) -> str:
+    # one digest over every file name and its bytes, in name order
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        digest.update(name.encode() + b"\0" + (directory / name).read_bytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of figure directories written before figure shared derive's
+# configuration path; any change of a single byte in these outputs fails here
+GOLDEN_FIGURE = {
+    "bloch3d": (
+        ("figure", "--figure", "bloch3d", "--temperatures", "0,100,300",
+         "--times", "0,0.05,0.3,2", "--grid", "24x12"),
+        "88ea651a1130686bdad39a4856724ad567661425388e295d06c8da2f66cbf5ca",
+    ),
+    "volume_rate": (
+        ("figure", "--figure", "volume_rate", "--temperatures", "0,100,300",
+         "--t-start", "0", "--t-end", "0.2", "--steps", "200",
+         "--alpha=0.05", "--omega0=8", "--cutoff=20"),
+        "e05c4873b14cfe95eb1bdb0884a66e765bbc4eb03a1569c095ae023c56987d5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FIGURE))
+def test_figure_golden_bytes(capsys, tmp_path, case):
+    argv, digest = GOLDEN_FIGURE[case]
+    out_dir = tmp_path / "figs"
+    code, _, _ = run_cli(capsys, *argv, "--output", str(out_dir))
+    assert code == 0
+    assert _directory_digest(out_dir) == digest
