@@ -56,14 +56,14 @@ def bloch_map(kset: KrausSet) -> AffineBlochMap:
     def channel(op: np.ndarray) -> np.ndarray:
         return sum(e @ op @ e.conj().T for e in kset.operators)
 
+    # the four images phi(I), phi(s_x), phi(s_y), phi(s_z), each computed once
+    identity_image, *images = (channel(op) for op in (SIGMA_I, *_PAULI_VECTOR))
     linear = np.empty((3, 3))
     shift = np.empty(3)
     for i in range(3):
-        shift[i] = 0.5 * np.trace(_PAULI_VECTOR[i] @ channel(SIGMA_I)).real
+        shift[i] = 0.5 * np.trace(_PAULI_VECTOR[i] @ identity_image).real
         for j in range(3):
-            linear[i, j] = 0.5 * np.trace(
-                _PAULI_VECTOR[i] @ channel(_PAULI_VECTOR[j])
-            ).real
+            linear[i, j] = 0.5 * np.trace(_PAULI_VECTOR[i] @ images[j]).real
     return AffineBlochMap(linear, shift)
 
 

@@ -2,8 +2,9 @@
 
 Exit codes are part of the interface: 0 success, 1 failed verification
 check, 2 configuration error, 3 pipeline error, 4 unwritable output. The
-environment variable KRAUS_FORGE_TOL globally overrides every verification
-tolerance. Identical configurations produce byte-identical output files.
+environment variable KRAUS_FORGE_TOL overrides every tolerance of verify;
+the other subcommands ignore it. Identical configurations produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ class RunConfig:
     parameterization: dict = field(default_factory=dict)
     times: list[float] = field(default_factory=list)
     output: str | None = None
-    fmt: str = "json"
     weight_cutoff: float = WEIGHT_CUTOFF
+    # verify-specific
     tolerances: dict[str, float] = field(default_factory=dict)
     tol_override: float | None = None
     # figure-specific
     figure: str | None = None
     temperatures: list[float] = field(default_factory=list)
-    figure_times: list[float] = field(default_factory=list)
     grid: tuple[int, int] = (24, 12)
 
 
@@ -75,13 +75,6 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _floats_csv(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
-
-
 def _finite(value, what: str) -> float:
     try:
         number = float(value)
@@ -90,6 +83,25 @@ def _finite(value, what: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be finite, got {number}")
     return number
+
+
+def _finite_list(value, what: str) -> list[float]:
+    # a comma-separated flag or a config-file list
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    elif not isinstance(value, list):
+        raise ConfigError(f"{what} list must be comma-separated or a list, got {value!r}")
+    return [_finite(part, what) for part in value]
+
+
+def _grid(value) -> tuple[int, int]:
+    # "24x12" from the flag or [24, 12] from a config file, read the same way
+    text = "x".join(str(part) for part in value) if isinstance(value, list) else str(value)
+    try:
+        n_u, n_v = (int(part) for part in text.lower().split("x"))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse grid {value!r}, expected like 24x12") from exc
+    return n_u, n_v
 
 
 def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> list[float]:
@@ -124,11 +136,7 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
     param = dict(cfg_file.get("parameterization", {}))
     kinds = [
         kind
-        for kind, flag in (
-            ("scaled", getattr(args, "scaled", False)),
-            ("physical", getattr(args, "physical", False)),
-            ("rates", getattr(args, "rates", False)),
-        )
+        for kind, flag in (("scaled", args.scaled), ("physical", args.physical), ("rates", args.rates))
         if flag
     ]
     if len(kinds) > 1:
@@ -137,10 +145,10 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
         param["kind"] = kinds[0]
 
     for key in ("theta", "omega", "tau", "alpha", "omega0", "cutoff", "temperature", "x", "y", "z", "rate"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             param[key] = value
-    if getattr(args, "shift", False):
+    if args.shift:
         param["shift"] = True
 
     if "kind" not in param:
@@ -174,67 +182,57 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    channel = getattr(args, "channel", None) or cfg_file.get("channel")
-    if args.command in ("derive",) and channel not in ("gad", "pd"):
-        raise ConfigError(f"channel must be 'gad' or 'pd', got {channel!r}")
-
-    cfg = RunConfig(channel=channel or "gad")
-    cfg.output = getattr(args, "output", None) or cfg_file.get("output")
-    cfg.fmt = getattr(args, "format", None) or cfg_file.get("format") or "json"
-    if getattr(args, "weight_cutoff", None) is not None:
-        cfg.weight_cutoff = _finite(args.weight_cutoff, "weight cutoff")
-    elif "weight_cutoff" in cfg_file:
-        cfg.weight_cutoff = _finite(cfg_file["weight_cutoff"], "weight cutoff")
-    if cfg.weight_cutoff < 0.0:
-        raise ConfigError(f"weight cutoff must be >= 0, got {cfg.weight_cutoff}")
-    tolerances = cfg_file.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("'tolerances' must be an object of name -> value")
-    cfg.tolerances = {str(k): float(v) for k, v in tolerances.items()}
-    if getattr(args, "tol", None) is not None:
-        cfg.tol_override = args.tol
-    env_tol = os.environ.get("KRAUS_FORGE_TOL")
-    if env_tol is not None:
-        try:
-            cfg.tol_override = float(env_tol)
-        except ValueError as exc:
-            raise ConfigError(f"KRAUS_FORGE_TOL is not a float: {env_tol!r}") from exc
-
+    """Read the config file and the flags of one subcommand; other keys are ignored."""
+    cfg_file = _load_config_file(args.config) if args.config else {}
+    cfg = RunConfig(output=args.output or cfg_file.get("output"))
     if args.command == "derive":
-        cfg.parameterization = _resolve_parameterization(cfg_file, args, cfg.channel)
+        channel = args.channel or cfg_file.get("channel")
+        if channel not in ("gad", "pd"):
+            raise ConfigError(f"channel must be 'gad' or 'pd', got {channel!r}")
+        cfg.channel = channel
+        cutoff = args.weight_cutoff
+        if cutoff is None:
+            cutoff = cfg_file.get("weight_cutoff", WEIGHT_CUTOFF)
+        cfg.weight_cutoff = _finite(cutoff, "weight cutoff")
+        if cfg.weight_cutoff < 0.0:
+            raise ConfigError(f"weight cutoff must be >= 0, got {cfg.weight_cutoff}")
+        cfg.parameterization = _resolve_parameterization(cfg_file, args, channel)
         cfg.times = _resolve_times(cfg_file, args, cfg.parameterization)
-        if cfg.fmt != "json":
-            raise ConfigError("derive emits JSON documents; use --format json")
-    elif args.command == "figure":
+    elif args.command == "verify":
+        cfg.channel = args.channel
+        tolerances = cfg_file.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ConfigError("'tolerances' must be an object of name -> value")
+        cfg.tolerances = {str(k): float(v) for k, v in tolerances.items()}
+        cfg.tol_override = args.tol
+        env_tol = os.environ.get("KRAUS_FORGE_TOL")
+        if env_tol is not None:
+            try:
+                cfg.tol_override = float(env_tol)
+            except ValueError as exc:
+                raise ConfigError(f"KRAUS_FORGE_TOL is not a float: {env_tol!r}") from exc
+    else:
         fig_file = cfg_file.get("figure", {})
-        cfg.figure = getattr(args, "figure", None) or fig_file.get("kind")
+        cfg.figure = args.figure or fig_file.get("kind")
         if cfg.figure not in ("bloch3d", "volume_rate"):
             raise ConfigError("figure kind must be 'bloch3d' or 'volume_rate'")
-        temps = getattr(args, "temperatures", None) or fig_file.get("temperatures")
+        temps = args.temperatures or fig_file.get("temperatures")
         if temps is None:
             raise ConfigError("figure needs --temperatures")
-        cfg.temperatures = _floats_csv(temps, "temperatures") if isinstance(temps, str) else [float(t) for t in temps]
-        times = getattr(args, "times", None) or fig_file.get("times")
+        cfg.temperatures = _finite_list(temps, "temperature")
         if cfg.figure == "bloch3d":
+            times = args.times or fig_file.get("times")
             if times is None:
                 raise ConfigError("bloch3d needs --times")
-            cfg.figure_times = _floats_csv(times, "times") if isinstance(times, str) else [float(t) for t in times]
+            cfg.times = _finite_list(times, "time")
         else:
             cfg.times = _resolve_times(cfg_file, args, {})
-        grid = getattr(args, "grid", None) or fig_file.get("grid")
+        grid = args.grid or fig_file.get("grid")
         if grid is not None:
-            if isinstance(grid, str):
-                try:
-                    n_u, n_v = (int(part) for part in grid.lower().split("x"))
-                except ValueError as exc:
-                    raise ConfigError(f"cannot parse grid {grid!r}, expected like 24x12") from exc
-            else:
-                n_u, n_v = int(grid[0]), int(grid[1])
-            cfg.grid = (n_u, n_v)
+            cfg.grid = _grid(grid)
         bath = dict(cfg_file.get("bath", {}))
         for key, default in (("alpha", 0.02), ("omega0", 10.0), ("cutoff", 15.0)):
-            value = getattr(args, key, None)
+            value = getattr(args, key)
             bath[key] = value if value is not None else bath.get(key, default)
         cfg.parameterization = bath
         if cfg.output is None:
@@ -467,9 +465,9 @@ def _verify_pd_checks() -> list[tuple[str, float, float]]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     raw: list[tuple[str, float, float]] = []
-    if cfg.channel in ("gad", "all", None):
+    if cfg.channel in ("gad", "all"):
         raw.extend(_verify_gad_checks())
-    if cfg.channel in ("pd", "all", None):
+    if cfg.channel in ("pd", "all"):
         raw.extend(_verify_pd_checks())
     checks = []
     for name, residual, default_tol in raw:
@@ -502,42 +500,40 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
             writer.writerow([f"{value:.12g}" for value in row])
 
 
-def _figure_bath(cfg: RunConfig, temperature: float) -> gad_mod.BathSpectrum:
-    bath = cfg.parameterization
-    return gad_mod.BathSpectrum(
-        alpha=bath["alpha"],
-        omega0=bath["omega0"],
-        omega_c=bath["cutoff"],
-        temperature=temperature,
-    )
-
-
 def cmd_figure(cfg: RunConfig) -> int:
+    # every domain object is built, and so checked, before anything is written
+    try:
+        baths = [
+            (temperature, gad_mod.rates_from_physics(
+                _bath_from_param({**cfg.parameterization, "temperature": temperature})
+            ))
+            for temperature in cfg.temperatures
+        ]
+        if cfg.figure == "bloch3d":
+            uv = bloch_mod.spherical_grid(*cfg.grid)
+            files = [
+                (f"bloch3d_T{temperature:g}_t{t:g}.csv", gad_mod.rescale(rates, t))
+                for temperature, rates in baths
+                for t in cfg.times
+            ]
+        else:
+            # one scalar per row: the rows are the checked inputs themselves
+            files = [
+                (f"volume_rate_T{temperature:g}.csv",
+                 [[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times])
+                for temperature, rates in baths
+            ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(cfg.output, exist_ok=True)
-    written = []
-    if cfg.figure == "bloch3d":
-        uv = bloch_mod.spherical_grid(*cfg.grid)
-        for temperature in cfg.temperatures:
-            rates = gad_mod.rates_from_physics(_figure_bath(cfg, temperature))
-            for t in cfg.figure_times:
-                scaled = gad_mod.rescale(rates, t)
-                bmap = bloch_mod.bloch_map(gad_mod.gad_kraus_closed(scaled))
-                points = bloch_mod.sample_ellipsoid(bmap, cfg.grid)
-                rows = [
-                    [uv[i, 0], uv[i, 1], points[i, 0], points[i, 1], points[i, 2]]
-                    for i in range(len(points))
-                ]
-                path = os.path.join(cfg.output, f"bloch3d_T{temperature:g}_t{t:g}.csv")
-                _write_csv(path, ["u", "v", "x", "y", "z"], rows)
-                written.append(path)
-    else:
-        for temperature in cfg.temperatures:
-            rates = gad_mod.rates_from_physics(_figure_bath(cfg, temperature))
-            rows = [[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times]
-            path = os.path.join(cfg.output, f"volume_rate_T{temperature:g}.csv")
-            _write_csv(path, ["t", "kappa"], rows)
-            written.append(path)
-    for path in written:
+    for name, item in files:
+        path = os.path.join(cfg.output, name)
+        if cfg.figure == "bloch3d":
+            bmap = bloch_mod.bloch_map(gad_mod.gad_kraus_closed(item))
+            points = bloch_mod.sample_ellipsoid(bmap, cfg.grid)
+            _write_csv(path, ["u", "v", "x", "y", "z"], np.hstack([uv, points]).tolist())
+        else:
+            _write_csv(path, ["t", "kappa"], item)
         print(path)
     return 0
 
@@ -556,12 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--output", help="output path ('-' for stdout)")
-        p.add_argument("--tol", type=float, help="override every verification tolerance")
 
     derive = sub.add_parser("derive", help="run the generator -> propagator -> Choi -> Kraus pipeline")
     add_common(derive)
     derive.add_argument("--channel", choices=("gad", "pd"))
-    derive.add_argument("--format", choices=("json", "csv"))
     derive.add_argument("--scaled", action="store_true", help="use (theta, omega, tau)")
     derive.add_argument("--physical", action="store_true", help="use (alpha, omega0, cutoff, temperature)")
     derive.add_argument("--rates", action="store_true", help="use raw rates (x, y, z) or --rate")
@@ -586,6 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the invariant and equivalence suites")
     add_common(verify)
     verify.add_argument("--channel", choices=("gad", "pd", "all"), default="all")
+    verify.add_argument("--tol", type=float, help="override every verification tolerance")
 
     figure = sub.add_parser("figure", help="emit CSV data reproducing the reference figures")
     add_common(figure)

@@ -118,14 +118,14 @@ class KrausStack(NamedTuple):
         return KrausSet(tuple(self.operators[k, :n]), tuple(self.values[k, :n]))
 
 
-def _decompose(choi: np.ndarray, cutoff: float, cp_tol: float) -> KrausStack:
+def _decompose(choi: np.ndarray, cutoff: float) -> KrausStack:
     # one eigendecomposition per Choi matrix feeds the CP check and the
     # Kraus operators sqrt(d_i) sum_j u_ji G_j
     values, vectors = hermitian_eig(choi)
     smallest = values[:, -1]
-    if np.any(smallest < cp_tol):
+    if np.any(smallest < CP_TOLERANCE):
         raise NotCompletelyPositive(
-            f"Choi eigenvalue {smallest.min():.3e} below tolerance {cp_tol:.1e}"
+            f"Choi eigenvalue {smallest.min():.3e} below tolerance {CP_TOLERANCE:.1e}"
         )
     keep = values > cutoff
     roots = np.zeros_like(values)
@@ -134,18 +134,14 @@ def _decompose(choi: np.ndarray, cutoff: float, cp_tol: float) -> KrausStack:
     return KrausStack(choi, values, operators.reshape(-1, 4, 2, 2), keep.sum(axis=1))
 
 
-def kraus_stack(
-    propagators: np.ndarray,
-    cutoff: float = WEIGHT_CUTOFF,
-    *,
-    cp_tol: float = CP_TOLERANCE,
-) -> KrausStack:
+def kraus_stack(propagators: np.ndarray, cutoff: float = WEIGHT_CUTOFF) -> KrausStack:
     """Choi matrices and Kraus sets of a stack of propagators, shape (k, 4, 4).
 
     Checks trace preservation (first row (1,0,0,0) within 1e-10), folds each
     propagator into its Hermitian Choi matrix of trace 2, decomposes it once,
-    checks complete positivity (eigenvalues >= cp_tol), and keeps one Kraus
-    operator per eigenvalue above ``cutoff``. A 2-D input is a stack of one.
+    checks complete positivity (eigenvalues >= CP_TOLERANCE), and keeps one
+    Kraus operator per eigenvalue above ``cutoff``. A 2-D input is a stack of
+    one.
     """
     f = np.asarray(propagators, dtype=complex)
     if f.shape[-2:] != (4, 4):
@@ -159,20 +155,20 @@ def kraus_stack(
         )
     choi = np.einsum("bsr,rnsm->bnm", f, _TRACE_TENSOR)
     choi = (choi + choi.conj().transpose(0, 2, 1)) / 2.0
-    return _decompose(choi, cutoff, cp_tol)
+    return _decompose(choi, cutoff)
 
 
-def choi_from_propagator(propagator: np.ndarray, *, cp_tol: float = CP_TOLERANCE) -> np.ndarray:
+def choi_from_propagator(propagator: np.ndarray) -> np.ndarray:
     """Choi matrix of the channel encoded by a propagator.
 
     Checks trace preservation (first row (1,0,0,0) within 1e-10) and
-    complete positivity (eigenvalues >= cp_tol); the returned matrix is
+    complete positivity (eigenvalues >= CP_TOLERANCE); the returned matrix is
     Hermitian with trace 2.
     """
     f = np.asarray(propagator, dtype=complex)
     if f.shape != (4, 4):
         raise ValueError(f"propagator must be 4x4, got {f.shape}")
-    return kraus_stack(f, cp_tol=cp_tol).choi[0]
+    return kraus_stack(f).choi[0]
 
 
 def kraus_from_choi(choi: np.ndarray, cutoff: float = WEIGHT_CUTOFF) -> KrausSet:
@@ -181,14 +177,15 @@ def kraus_from_choi(choi: np.ndarray, cutoff: float = WEIGHT_CUTOFF) -> KrausSet
     One operator sqrt(d_i) sum_j u_ji G_j per eigenvalue d_i above ``cutoff``,
     ordered by descending eigenvalue. Eigenvalues in [-1e-10, cutoff] are
     treated as numerical zeros and dropped; anything below -1e-10 raises
-    NotCompletelyPositive.
+    NotCompletelyPositive. A matrix that is not 4x4, not finite or not
+    Hermitian within 1e-12 raises ValueError.
     """
     s = np.asarray(choi, dtype=complex)
     if s.shape != (4, 4):
         raise ValueError(f"Choi matrix must be 4x4, got {s.shape}")
-    if max_nonhermiticity(s) > 1e-12:
-        raise ValueError("Choi matrix must be Hermitian within 1e-12")
-    return _decompose(s[None], cutoff, CP_TOLERANCE).kraus_set(0)
+    if not np.isfinite(s).all() or max_nonhermiticity(s) > 1e-12:
+        raise ValueError("Choi matrix must be finite and Hermitian within 1e-12")
+    return _decompose(s[None], cutoff).kraus_set(0)
 
 
 def kraus_to_choi(kset: KrausSet) -> np.ndarray:

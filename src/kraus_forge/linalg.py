@@ -56,12 +56,14 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().transpose(0, 2, 1)) / 2.0
 
 
-def hermitian_eig(
-    matrix: np.ndarray,
-    *,
-    hermiticity_tol: float = 1e-12,
-    max_sweeps: int = 60,
-) -> tuple[np.ndarray, np.ndarray]:
+#: largest entrywise |M - M^dag| that hermitian_eig accepts
+HERMITIAN_TOLERANCE = 1e-12
+
+#: cyclic Jacobi sweeps after which hermitian_eig gives up
+SWEEP_LIMIT = 60
+
+
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of small Hermitian matrices by cyclic Jacobi rotations.
 
     ``matrix`` is one (n, n) matrix or a stack (..., n, n); the result has
@@ -76,19 +78,22 @@ def hermitian_eig(
     the iteration once its off-diagonal mass is below 1e-15 of its Frobenius
     norm, and a pivot below 1e-300 in magnitude is skipped.
 
-    Raises NonHermitianInput if a member deviates from Hermiticity by more
-    than ``hermiticity_tol``, and ConvergenceFailure if the off-diagonal mass
-    of a member does not vanish within ``max_sweeps`` cyclic sweeps.
+    Raises NonHermitianInput if a member has a non-finite entry or deviates
+    from Hermiticity by more than HERMITIAN_TOLERANCE, and ConvergenceFailure
+    if the off-diagonal mass of a member does not vanish within SWEEP_LIMIT
+    cyclic sweeps.
     """
     a = np.array(matrix, dtype=complex)
     shape = a.shape
     if a.ndim < 2 or shape[-1] != shape[-2]:
         raise NonHermitianInput(f"expected a square matrix or a stack of them, got shape {shape}")
     a = a.reshape(-1, *shape[-2:])
+    if not np.isfinite(a).all():
+        raise NonHermitianInput("matrix has non-finite entries")
     deviation = max_nonhermiticity(a) if a.size else 0.0
-    if deviation > hermiticity_tol:
+    if deviation > HERMITIAN_TOLERANCE:
         raise NonHermitianInput(
-            f"max |M - M^dag| = {deviation:.3e} exceeds {hermiticity_tol:.1e}"
+            f"max |M - M^dag| = {deviation:.3e} exceeds {HERMITIAN_TOLERANCE:.1e}"
         )
     a = _hermitian_part(a)
     count, n = a.shape[0], a.shape[1]
@@ -108,7 +113,7 @@ def hermitian_eig(
     # copies; a member is written back and dropped once it has converged
     members = np.nonzero(scale > 0.0)[0]
     work, work_vectors, work_tol = a[members], vectors[members], off_tol[members]
-    for _ in range(max_sweeps):
+    for _ in range(SWEEP_LIMIT):
         done = _magnitude(work[:, rows, cols]).max(axis=1, initial=0.0) <= work_tol
         if done.any():
             a[members[done]] = work[done]
@@ -152,7 +157,7 @@ def hermitian_eig(
         work = _hermitian_part(work)
     else:
         raise ConvergenceFailure(
-            f"off-diagonal mass did not settle within {max_sweeps} sweeps"
+            f"off-diagonal mass did not settle within {SWEEP_LIMIT} sweeps"
         )
 
     values = a.diagonal(axis1=1, axis2=2).real

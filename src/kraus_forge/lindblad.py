@@ -73,9 +73,7 @@ def apply_generator(gen: LindbladGenerator, operator: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_L(
-    gen: LindbladGenerator, basis: np.ndarray | None = None
-) -> np.ndarray:
+def build_L(gen: LindbladGenerator) -> np.ndarray:
     """Generator matrix L_kl = tr(G_k gen(G_l)) in the Hermitian basis.
 
     The result is real for any valid generator (trace of a product of
@@ -83,7 +81,7 @@ def build_L(
     NonRealGeneratorMatrix. Row 0 vanishes identically, which encodes
     trace preservation of the dynamics.
     """
-    g = hermitian_basis() if basis is None else np.asarray(basis, dtype=complex)
+    g = hermitian_basis()
     images = np.stack([apply_generator(gen, g[l]) for l in range(4)])
     matrix = np.einsum("kab,lba->kl", g, images)
     residue = float(np.abs(matrix.imag).max())

@@ -425,3 +425,69 @@ def test_figure_golden_bytes(capsys, tmp_path, case):
     code, _, _ = run_cli(capsys, *argv, "--output", str(out_dir))
     assert code == 0
     assert _directory_digest(out_dir) == digest
+
+
+_BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times", "0.1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*_BLOCH3D, "--grid", "1x1"),
+        (*_BLOCH3D, "--temperatures=-5"),
+        (*_BLOCH3D, "--alpha=-1"),
+        (*_BLOCH3D, "--times=-0.1"),
+        (*_BLOCH3D, "--times", "nan"),
+        (*_BLOCH3D, "--temperatures", "inf"),
+        ("figure", "--figure", "volume_rate", "--temperatures", "100",
+         "--t-start=-1", "--t-end", "1", "--steps", "3"),
+    ],
+)
+def test_figure_rejects_bad_input_before_writing(capsys, tmp_path, argv):
+    out_dir = tmp_path / "figs"
+    code, out, err = run_cli(capsys, *argv, "--output", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid", [[24.5, 12], [24]])
+def test_figure_config_grid_needs_two_integers(capsys, tmp_path, grid):
+    config = tmp_path / "figure.json"
+    config.write_text(json.dumps({"figure": {"kind": "bloch3d", "temperatures": [100],
+                                             "times": [0.1], "grid": grid}}))
+    out_dir = tmp_path / "figs"
+    code, _, err = run_cli(capsys, "figure", "--config", str(config), "--output", str(out_dir))
+    assert code == 2
+    assert "grid" in err
+    assert not out_dir.exists()
+
+
+def test_derive_ignores_verify_settings(capsys, tmp_path, monkeypatch):
+    argv = ("derive", "--channel", "pd", "--rate", "1", "--t", "0.5")
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("KRAUS_FORGE_TOL", "abc")
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    # keys another subcommand reads are ignored like any unknown key
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tolerances": "unused", "format": "csv"}))
+    assert run_cli(capsys, *argv, "--config", str(config)) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--channel", "pd", "--rate", "1", "--t", "0.5", "--tol", "5"),
+        ("derive", "--channel", "pd", "--rate", "1", "--t", "0.5", "--format", "json"),
+        ("figure", "--figure", "volume_rate", "--temperatures", "100", "--t-start", "0",
+         "--t-end", "1", "--steps", "2", "--output", "unused", "--tol", "5"),
+    ],
+)
+def test_options_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_kraus_cutoff_drops_numerical_zeros():
 def test_kraus_from_choi_rejects_negative_weight():
     with pytest.raises(NotCompletelyPositive):
         kraus_from_choi(np.diag([2.0, 0.5, 0.0, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "choi",
+    [np.full((4, 4), np.nan, dtype=complex), np.diag([np.inf, 0, 0, 0]).astype(complex)],
+)
+def test_kraus_from_choi_rejects_non_finite_matrix(choi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            kraus_from_choi(choi)
 
 
 def test_apply_channel_identity():

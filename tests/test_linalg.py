@@ -345,6 +345,9 @@ def _with_member(bad):
         (matrix_exp, np.diag([1e30, 0.0, 0.0, 0.0]), OverflowDetected),
         # overflows while squaring
         (matrix_exp, np.diag([800.0, 0.0, 0.0, 0.0]), OverflowDetected),
+        # non-finite input to the eigensolver
+        (hermitian_eig, np.full((4, 4), np.nan, dtype=complex), NonHermitianInput),
+        (hermitian_eig, np.diag([np.inf, 0.0, 0.0, 0.0]).astype(complex), NonHermitianInput),
     ],
 )
 def test_stack_with_one_bad_member_raises_its_error(function, bad, error):
