@@ -491,3 +491,23 @@ def test_options_a_subcommand_ignores_are_rejected(capsys, argv):
         main(list(argv))
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# SHA-256 of the help texts at 80 columns; the top-level listing and each
+# subcommand's options must read the same however the parser is built
+GOLDEN_HELP = {
+    "top": ((), "9ac89f97164c15d2d77a363b1966c0ffafb7166a9aebcd20f8ae03e5b0166b5a"),
+    "derive": (("derive",), "09c8cd493c78534e8719da802d06b9e1cb388e412576d29048ec9b579e269be9"),
+    "verify": (("verify",), "71daa1e400e6f3f7e3d90c3d2c54efed752042d84e3c64845158899b86db5074"),
+    "figure": (("figure",), "447032499d48fc48b24acbdb056f2bb8416326e7b9af2e2d860a33d05a91d309"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_HELP))
+def test_help_golden_bytes(capsys, monkeypatch, case):
+    argv, digest = GOLDEN_HELP[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
