@@ -14,8 +14,10 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,9 +27,10 @@ from . import pd as pd_mod
 from .errors import KrausForgeError
 from .kraus import (
     WEIGHT_CUTOFF,
+    KrausStack,
     choi_distance,
+    kraus_diagnostics,
     kraus_stack,
-    kraus_stack_to_dicts,
     propagate,
 )
 from .linalg import matrix_exp
@@ -203,7 +206,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tolerances = cfg_file.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object of name -> value")
-        cfg.tolerances = {str(k): float(v) for k, v in tolerances.items()}
+        cfg.tolerances = {str(k): _finite(v, f"tolerance {k}") for k, v in tolerances.items()}
         cfg.tol_override = args.tol
         env_tol = os.environ.get("KRAUS_FORGE_TOL")
         if env_tol is not None:
@@ -233,7 +236,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         bath = dict(cfg_file.get("bath", {}))
         for key, default in (("alpha", 0.02), ("omega0", 10.0), ("cutoff", 15.0)):
             value = getattr(args, key)
-            bath[key] = value if value is not None else bath.get(key, default)
+            bath[key] = _finite(value if value is not None else bath.get(key, default), key)
         cfg.parameterization = bath
         if cfg.output is None:
             raise ConfigError("figure needs --output DIRECTORY")
@@ -265,11 +268,111 @@ def _gad_rates_from_param(param: dict) -> gad_mod.GadRates:
     )
 
 
-def _derive_document(cfg: RunConfig) -> dict:
+def _json_list(items: list[str], depth: int) -> str:
+    # rendered items laid out as json.dumps(indent=2) lays out a list at depth
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_object(entries: list[tuple[str, str]], depth: int) -> str:
+    # the same for an object whose keys need no escaping
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(f'"{key}": {value}' for key, value in entries)
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
+def _point_template(kept: int, route: list[tuple[str, str]]) -> str:
+    """``%`` template of one derive point with ``kept`` operators.
+
+    Its ``%s`` slots follow ``_point_columns``; ``route`` holds the point's
+    trailing keys, already rendered.
+    """
+    pair = _json_list(["%s", "%s"], 7)
+    row = _json_list([pair, pair], 6)
+    operator = _json_list([row, row], 5)
+    diagnostics = _json_object(
+        [("completeness_residual", "%s"), ("choi_eigenvalues", _json_list(["%s"] * 4, 5))], 4
+    )
+    kraus = _json_object(
+        [
+            ("operators", _json_list([operator] * kept, 4)),
+            ("weights", _json_list(["%s"] * kept, 4)),
+            ("diagnostics", diagnostics),
+        ],
+        3,
+    )
+    return _json_object(
+        [
+            ("t", "%s"),
+            ("kraus", kraus),
+            ("choi_eigenvalues", _json_list(["%s"] * 4, 3)),
+            ("completeness_residual", "%s"),
+            *route,
+        ],
+        2,
+    )
+
+
+# columns of the point table: t, the 32 operator [re, im] values, the Choi
+# eigenvalues, the completeness residual, the rebuilt Choi spectrum, tau
+_OPS, _VALUES, _RESIDUAL, _REBUILT, _TAU = 1, 33, 37, 38, 42
+
+
+def _point_columns(kept: int, with_tau: bool) -> list[int]:
+    return [
+        0,
+        *range(_OPS, _OPS + 8 * kept),
+        *range(_VALUES, _VALUES + kept),
+        _RESIDUAL,
+        *range(_REBUILT, _REBUILT + 4),
+        *range(_VALUES, _VALUES + 4),
+        _RESIDUAL,
+        *([_TAU] if with_tau else []),
+    ]
+
+
+def _render_points(
+    stack: KrausStack, times: np.ndarray, taus: np.ndarray | None, route: list[tuple[str, str]]
+) -> list[str]:
+    """Each member of ``stack`` as the text json.dumps(indent=2) gives its point.
+
+    ``taus`` fills the ``tau`` slot that a ``scaled`` entry of ``route``
+    leaves; without one it is None. A non-finite value raises rather than be
+    written.
+    """
+    residuals, rebuilt = kraus_diagnostics(stack.operators)
+    count = len(times)
+    table = np.column_stack(
+        [
+            times,
+            np.stack([stack.operators.real, stack.operators.imag], axis=-1).reshape(count, 32),
+            stack.values,
+            residuals,
+            rebuilt,
+            times if taus is None else taus,
+        ]
+    )
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise KrausForgeError(f"derive point at t={times[bad]} has a non-finite value")
+    # one template per kept count, built when a point first needs it
+    shapes: dict[int, tuple[str, itemgetter]] = {}
+    points = []
+    for row, kept in zip(table.tolist(), stack.kept.tolist()):
+        shape = shapes.get(kept)
+        if shape is None:
+            columns = _point_columns(kept, taus is not None)
+            shape = shapes[kept] = (_point_template(kept, route), itemgetter(*columns))
+        template, columns = shape
+        points.append(template % tuple(map(float.__repr__, columns(row))))
+    return points
+
+
+def _derive_text(cfg: RunConfig) -> str:
     param = cfg.parameterization
     times = np.asarray(cfg.times, dtype=float)
-    scaled = rates = pd_params = None
-    taus = times
+    scaled = rates = pd_params = taus = None
     # a parameter outside the channel's domain is a configuration error
     try:
         if cfg.channel == "pd":
@@ -281,6 +384,7 @@ def _derive_document(cfg: RunConfig) -> dict:
         elif param["kind"] == "scaled":
             # tau is the evolution time here; the pipeline checks it like any time
             scaled = gad_mod.GadScaled(param["theta"], param["omega"], 0.0)
+            taus = times
             generator = gad_mod.gad_L_scaled(scaled)
         else:
             rates = _gad_rates_from_param(param)
@@ -290,38 +394,35 @@ def _derive_document(cfg: RunConfig) -> dict:
             generator = gad_mod.gad_L(rates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the route's keys close every point; their constants are rendered once
+    route = []
+    if scaled is not None:
+        route.append(("scaled", _json_object(
+            [("theta", repr(scaled.theta)), ("omega", repr(scaled.omega)), ("tau", "%s")], 3
+        )))
+    if rates is not None:
+        route.append(("rates", _json_object([(k, repr(getattr(rates, k))) for k in "xyz"], 3)))
+    if pd_params is not None:
+        route.append(("rate", repr(pd_params.r)))
+    # the header echoes the parameterization as given, config-file values too
+    try:
+        header = json.dumps(
+            {"channel": cfg.channel, "parameterization": param}, indent=2, allow_nan=False
+        )
+    except ValueError as exc:
+        raise ConfigError(f"parameterization holds a non-finite number: {exc}") from exc
     # every time point goes through each stage of the pipeline at once
     stack = kraus_stack(propagate(generator, times), cfg.weight_cutoff)
     if stack.kept.min() == 0:
         t = times[int(np.argmin(stack.kept))]
         raise ConfigError(f"weight cutoff {cfg.weight_cutoff} drops every Kraus operator at t={t}")
-    points = []
-    for t, tau, kraus_doc, values in zip(
-        times.tolist(), taus.tolist(), kraus_stack_to_dicts(stack), stack.values.tolist()
-    ):
-        point = {
-            "t": t,
-            "kraus": kraus_doc,
-            "choi_eigenvalues": values,
-            "completeness_residual": kraus_doc["diagnostics"]["completeness_residual"],
-        }
-        if scaled is not None:
-            point["scaled"] = {"theta": scaled.theta, "omega": scaled.omega, "tau": tau}
-        if rates is not None:
-            point["rates"] = {"x": rates.x, "y": rates.y, "z": rates.z}
-        if pd_params is not None:
-            point["rate"] = pd_params.r
-        points.append(point)
-    return {
-        "channel": cfg.channel,
-        "parameterization": param,
-        "points": points,
-    }
+    points = _render_points(stack, times, taus, route)
+    # the header without its closing brace, then the points as a list at depth 1
+    return header[:-2] + ',\n  "points": [\n    ' + ",\n    ".join(points) + "\n  ]\n}\n"
 
 
 def cmd_derive(cfg: RunConfig) -> int:
-    document = _derive_document(cfg)
-    text = json.dumps(document, indent=2) + "\n"
+    text = _derive_text(cfg)
     if cfg.output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -542,19 +643,20 @@ def cmd_figure(cfg: RunConfig) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kraus-forge",
-        description="Derive, verify, and visualize qubit noise-channel Kraus operators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads ``-6.5e-06`` as a negative number.
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--output", help="output path ('-' for stdout)")
+    argparse's own pattern has no exponent, so ``--omega -6.5e-06`` would
+    take ``-6.5e-06`` for an option. No option of this CLI looks like a
+    number, so the wider pattern is unambiguous. Subparsers inherit the class.
+    """
 
-    derive = sub.add_parser("derive", help="run the generator -> propagator -> Choi -> Kraus pipeline")
-    add_common(derive)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _derive_arguments(derive: argparse.ArgumentParser) -> None:
     derive.add_argument("--channel", choices=("gad", "pd"))
     derive.add_argument("--scaled", action="store_true", help="use (theta, omega, tau)")
     derive.add_argument("--physical", action="store_true", help="use (alpha, omega0, cutoff, temperature)")
@@ -577,13 +679,13 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--steps", type=int)
     derive.add_argument("--weight-cutoff", dest="weight_cutoff", type=float)
 
-    verify = sub.add_parser("verify", help="run the invariant and equivalence suites")
-    add_common(verify)
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--channel", choices=("gad", "pd", "all"), default="all")
     verify.add_argument("--tol", type=float, help="override every verification tolerance")
 
-    figure = sub.add_parser("figure", help="emit CSV data reproducing the reference figures")
-    add_common(figure)
+
+def _figure_arguments(figure: argparse.ArgumentParser) -> None:
     figure.add_argument("--figure", choices=("bloch3d", "volume_rate"))
     figure.add_argument("--temperatures", help="comma-separated temperatures")
     figure.add_argument("--times", help="comma-separated times (bloch3d)")
@@ -594,12 +696,38 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--t-start", dest="t_start", type=float)
     figure.add_argument("--t-end", dest="t_end", type=float)
     figure.add_argument("--steps", type=int)
+
+
+_SUBCOMMANDS = {
+    "derive": ("run the generator -> propagator -> Choi -> Kraus pipeline", _derive_arguments),
+    "verify": ("run the invariant and equivalence suites", _verify_arguments),
+    "figure": ("emit CSV data reproducing the reference figures", _figure_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given ``command``, only that subcommand gets its options."""
+    parser = _Parser(
+        prog="kraus-forge",
+        description="Derive, verify, and visualize qubit noise-channel Kraus operators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            subparser.add_argument("--config", help="JSON config file; flags override its values")
+            subparser.add_argument("--output", help="output path ('-' for stdout)")
+            add_arguments(subparser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level has no option that takes a value, so the first word that
+    # is not an option names the subcommand, the only one that needs options
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if args.command == "derive":

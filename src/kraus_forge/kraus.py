@@ -227,18 +227,28 @@ def choi_distance(first: KrausSet, second: KrausSet) -> float:
     return float(np.linalg.norm(kraus_to_choi(first) - kraus_to_choi(second)))
 
 
-def _kraus_dicts(operators: np.ndarray, weights: np.ndarray, kept: np.ndarray) -> list[dict]:
-    # operators (k, m, 2, 2) and weights (k, m); member k uses its first
-    # kept[k] of them, and the rest are zero. The Choi matrix is rebuilt
-    # from the operators and decomposed again, as an independent check of
-    # the set, in one stacked call
+def kraus_diagnostics(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Completeness residual and rebuilt Choi spectrum of each member of a stack.
+
+    ``operators`` has shape (k, m, 2, 2), zero-padded where a member keeps
+    fewer than m operators. The residual is the largest entrywise deviation
+    of sum(E^dag E) from the identity, shape (k,). The Choi matrix is rebuilt
+    from the operators and decomposed again, as an independent check of the
+    set, in one stacked call: shape (k, 4), descending.
+    """
     coeffs = np.einsum("jab,kiba->kji", _G, operators)
     rebuilt = hermitian_eig(coeffs @ coeffs.conj().transpose(0, 2, 1))[0]
     gram = operators.conj().transpose(0, 1, 3, 2) @ operators
     total = gram[:, 0]
     for i in range(1, gram.shape[1]):
         total = total + gram[:, i]
-    residuals = np.abs(total - SIGMA_I).max(axis=(1, 2))
+    return np.abs(total - SIGMA_I).max(axis=(1, 2)), rebuilt
+
+
+def _kraus_dicts(operators: np.ndarray, weights: np.ndarray, kept: np.ndarray) -> list[dict]:
+    # operators (k, m, 2, 2) and weights (k, m); member k uses its first
+    # kept[k] of them, and the rest are zero
+    residuals, rebuilt = kraus_diagnostics(operators)
     pairs = np.stack([operators.real, operators.imag], axis=-1).tolist()
     return [
         {

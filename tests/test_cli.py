@@ -5,9 +5,21 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from kraus_forge import cli
+from kraus_forge import gad as gad_mod
+from kraus_forge import pd as pd_mod
 from kraus_forge.cli import main
-from kraus_forge.kraus import choi_distance, kraus_set_from_dict
+from kraus_forge.errors import KrausForgeError
+from kraus_forge.kraus import (
+    choi_distance,
+    kraus_set_from_dict,
+    kraus_stack,
+    kraus_stack_to_dicts,
+    propagate,
+)
 from kraus_forge.linalg import SIGMA_I, SIGMA_Z
 
 
@@ -441,6 +453,8 @@ _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times",
         (*_BLOCH3D, "--temperatures", "inf"),
         ("figure", "--figure", "volume_rate", "--temperatures", "100",
          "--t-start=-1", "--t-end", "1", "--steps", "3"),
+        # a negative number in exponent notation is a value, not an option
+        (*_BLOCH3D, "--alpha", "-1e-3"),
     ],
 )
 def test_figure_rejects_bad_input_before_writing(capsys, tmp_path, argv):
@@ -511,3 +525,138 @@ def test_help_golden_bytes(capsys, monkeypatch, case):
         main([*argv, "--help"])
     assert exit_info.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_negative_exponent_number_is_an_option_value(capsys):
+    argv = ("derive", "--channel", "gad", "--scaled", "--theta", "1", "--tau", "1")
+    code, spaced, _ = run_cli(capsys, *argv, "--omega", "-6.5e-06")
+    assert code == 0
+    assert run_cli(capsys, *argv, "--omega=-6.5e-06") == (0, spaced, "")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("verify", "--channel", "pd"), {"tolerances": {"pd_completeness": "abc"}}),
+        (("figure", "--figure", "volume_rate", "--temperatures", "100",
+          "--t-start", "0", "--t-end", "1", "--steps", "3"), {"bath": {"alpha": "x"}}),
+        # the derive header echoes the parameterization, which must not write NaN
+        (("derive", "--channel", "pd", "--t", "1"),
+         {"parameterization": {"kind": "rates", "rate": 1, "note": float("nan")}}),
+    ],
+)
+def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--config", str(path), "--output", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_non_finite_point_exits_3_without_writing(capsys, tmp_path, monkeypatch):
+    def poisoned_stack(propagators, cutoff):
+        stack = kraus_stack(propagators, cutoff)
+        values = stack.values.copy()
+        values[1, 0] = np.inf
+        return stack._replace(values=values)
+
+    monkeypatch.setattr(cli, "kraus_stack", poisoned_stack)
+    out_path = tmp_path / "pd.json"
+    code, out, err = run_cli(
+        capsys, "derive", "--channel", "pd", "--rate", "1", "--t-start", "0",
+        "--t-end", "1", "--steps", "3", "--output", str(out_path),
+    )
+    assert code == 3
+    assert err.startswith("pipeline error:") and "t=0.5" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_render_points_raises_on_non_finite_member():
+    times = np.array([0.1, 0.5])
+    stack = kraus_stack(propagate(pd_mod.pd_L(pd_mod.PdParams(1.0)), times))
+    operators = stack.operators.copy()
+    operators[0, 1, 0, 0] = np.nan
+    with pytest.raises(KrausForgeError):
+        cli._render_points(stack._replace(operators=operators), times, None, [("rate", "1.0")])
+
+
+def _number(low, high):
+    # a config file may hold integers, which the header echoes as integers
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
+
+
+@st.composite
+def _derive_cases(draw):
+    route = draw(st.sampled_from(("pd", "gad_scaled", "gad_rates")))
+    if route == "pd":
+        channel, kind, values = "pd", "rates", {"rate": draw(_number(0, 5))}
+    elif route == "gad_scaled":
+        # omega = -2 is zero temperature, where the cutoff drops operators
+        omega = draw(st.one_of(st.just(-2), st.floats(-2, -1e-3)))
+        channel, kind, values = "gad", "scaled", {"theta": draw(_number(-50, 50)), "omega": omega}
+    else:
+        z = draw(st.one_of(st.just(0), _number(0, 3)))  # z = 0: omega = -2
+        values = {"x": draw(_number(-5, 5)), "y": z + draw(_number(0.1, 3)), "z": z}
+        channel, kind = "gad", "rates"
+    start = draw(st.floats(0, 1))
+    return channel, kind, values, start, start + draw(st.floats(0, 3)), draw(st.integers(1, 60))
+
+
+def _reference_document(channel, param, times):
+    # the document as derive built it before it rendered points from the
+    # arrays: a dict tree of kraus_stack_to_dicts, encoded by json.dumps
+    taus = times
+    if channel == "pd":
+        params = pd_mod.PdParams(param["rate"])
+        generator, route = pd_mod.pd_L(params), {"rate": params.r}
+    elif param["kind"] == "scaled":
+        scaled = gad_mod.GadScaled(param["theta"], param["omega"], 0.0)
+        generator, route = gad_mod.gad_L_scaled(scaled), {}
+    else:
+        rates = gad_mod.GadRates(param["x"], param["y"], param["z"])
+        scaled = gad_mod.rescale(rates, 1.0)
+        generator, taus = gad_mod.gad_L(rates), scaled.tau * times
+        route = {"rates": {"x": rates.x, "y": rates.y, "z": rates.z}}
+    stack = kraus_stack(propagate(generator, times))
+    points = []
+    for t, tau, kraus_doc, values in zip(
+        times.tolist(), taus.tolist(), kraus_stack_to_dicts(stack), stack.values.tolist()
+    ):
+        point = {
+            "t": t,
+            "kraus": kraus_doc,
+            "choi_eigenvalues": values,
+            "completeness_residual": kraus_doc["diagnostics"]["completeness_residual"],
+        }
+        if channel == "gad":
+            point["scaled"] = {"theta": scaled.theta, "omega": scaled.omega, "tau": tau}
+        point.update(route)
+        points.append(point)
+    return {"channel": channel, "parameterization": param, "points": points}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_derive_cases(), via_config=st.booleans())
+def test_derive_text_equals_json_dumps_of_the_dict_documents(capsys, tmp_path, case, via_config):
+    channel, kind, values, start, end, steps = case
+    argv = ["derive", "--channel", channel, "--t-start", repr(start), f"--t-end={end!r}",
+            "--steps", str(steps)]
+    if via_config:
+        param = {"kind": kind, **values}
+        config = tmp_path / "derive.json"
+        config.write_text(json.dumps({"parameterization": param}))
+        argv += ["--config", str(config)]
+    else:
+        param = {"kind": kind, **{key: float(value) for key, value in values.items()}}
+        argv += [f"--{kind}", *(f"--{key}={value!r}" for key, value in values.items())]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    times = np.linspace(start, end, steps) if steps > 1 else np.array([start])
+    expected = json.dumps(_reference_document(channel, param, times), indent=2) + "\n"
+    assert out == expected
