@@ -337,8 +337,8 @@ def _render_points(
     """Each member of ``stack`` as the text json.dumps(indent=2) gives its point.
 
     ``taus`` fills the ``tau`` slot that a ``scaled`` entry of ``route``
-    leaves; without one it is None. A non-finite value raises rather than be
-    written.
+    leaves; without one it is None. A non-finite value raises
+    KrausForgeError, so it is never written.
     """
     residuals, rebuilt = kraus_diagnostics(stack.operators)
     count = len(times)
