@@ -81,15 +81,18 @@ def spherical_grid(n_u: int, n_v: int) -> np.ndarray:
     return np.stack([uu.ravel(), vv.ravel()], axis=1)
 
 
-def sample_ellipsoid(bmap: AffineBlochMap, grid: tuple[int, int]) -> np.ndarray:
-    """Image points of the unit-sphere grid under the affine map, (N, 3)."""
-    uv = spherical_grid(*grid)
+def grid_directions(uv: np.ndarray) -> np.ndarray:
+    """Unit vectors at the (u, v) angles of ``spherical_grid``, (N, 3)."""
     sin_v = np.sin(uv[:, 1])
-    directions = np.stack(
+    return np.stack(
         [sin_v * np.cos(uv[:, 0]), sin_v * np.sin(uv[:, 0]), np.cos(uv[:, 1])],
         axis=1,
     )
-    return directions @ bmap.linear.T + bmap.shift
+
+
+def sample_ellipsoid(bmap: AffineBlochMap, grid: tuple[int, int]) -> np.ndarray:
+    """Image points of the unit-sphere grid under the affine map, (N, 3)."""
+    return grid_directions(spherical_grid(*grid)) @ bmap.linear.T + bmap.shift
 
 
 def ellipsoid_semiaxes(bmap: AffineBlochMap) -> np.ndarray:

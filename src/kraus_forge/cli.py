@@ -10,7 +10,6 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -593,14 +592,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # figure
 # ----------------------------------------------------------------------
 
-def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{value:.12g}" for value in row])
-
-
 def cmd_figure(cfg: RunConfig) -> int:
     # every domain object is built, and so checked, before anything is written
     try:
@@ -621,20 +612,33 @@ def cmd_figure(cfg: RunConfig) -> int:
             # one scalar per row: the rows are the checked inputs themselves
             files = [
                 (f"volume_rate_T{temperature:g}.csv",
-                 [[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times])
+                 np.array([[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times]))
                 for temperature, rates in baths
             ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # each file is one %-template filled with its table, row by row; the
+    # template's "%.12g" gives the text of f"{value:.12g}"
+    if cfg.figure == "bloch3d":
+        header = "u,v,x,y,z\r\n"
+        directions = bloch_mod.grid_directions(uv)
+        # the u, v columns are the same in every file, so they are formatted once
+        template = "".join(
+            "%.12g,%.12g,%%.12g,%%.12g,%%.12g\r\n" % (u, v) for u, v in uv.tolist()
+        )
+    else:
+        header = "t,kappa\r\n"
+        template = "%.12g,%.12g\r\n" * len(cfg.times)
     os.makedirs(cfg.output, exist_ok=True)
     for name, item in files:
         path = os.path.join(cfg.output, name)
         if cfg.figure == "bloch3d":
             bmap = bloch_mod.bloch_map(gad_mod.gad_kraus_closed(item))
-            points = bloch_mod.sample_ellipsoid(bmap, cfg.grid)
-            _write_csv(path, ["u", "v", "x", "y", "z"], np.hstack([uv, points]).tolist())
+            table = directions @ bmap.linear.T + bmap.shift
         else:
-            _write_csv(path, ["t", "kappa"], item)
+            table = item
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(header + template % tuple(table.ravel().tolist()))
         print(path)
     return 0
 
