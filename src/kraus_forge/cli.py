@@ -93,6 +93,8 @@ def _finite_list(value, what: str) -> list[float]:
         value = [part for part in value.split(",") if part.strip()]
     elif not isinstance(value, list):
         raise ConfigError(f"{what} list must be comma-separated or a list, got {value!r}")
+    if not value:
+        raise ConfigError(f"{what} list is empty")
     return [_finite(part, what) for part in value]
 
 
@@ -603,17 +605,23 @@ def cmd_figure(cfg: RunConfig) -> int:
         ]
         if cfg.figure == "bloch3d":
             uv = bloch_mod.spherical_grid(*cfg.grid)
-            files = [
-                (f"bloch3d_T{temperature:g}_t{t:g}.csv", gad_mod.rescale(rates, t))
-                for temperature, rates in baths
+            names = [
+                f"bloch3d_T{temperature:g}_t{t:g}.csv"
+                for temperature, _ in baths
                 for t in cfg.times
             ]
+            # the closed-form propagator of every frame, (files, 4, 4)
+            propagators = np.stack([
+                gad_mod.gad_F_closed(gad_mod.rescale(rates, t))
+                for _, rates in baths
+                for t in cfg.times
+            ])
         else:
+            names = [f"volume_rate_T{temperature:g}.csv" for temperature, _ in baths]
             # one scalar per row: the rows are the checked inputs themselves
-            files = [
-                (f"volume_rate_T{temperature:g}.csv",
-                 np.array([[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times]))
-                for temperature, rates in baths
+            tables = [
+                np.array([[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times])
+                for _, rates in baths
             ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -621,22 +629,20 @@ def cmd_figure(cfg: RunConfig) -> int:
     # template's "%.12g" gives the text of f"{value:.12g}"
     if cfg.figure == "bloch3d":
         header = "u,v,x,y,z\r\n"
-        directions = bloch_mod.grid_directions(uv)
         # the u, v columns are the same in every file, so they are formatted once
         template = "".join(
             "%.12g,%.12g,%%.12g,%%.12g,%%.12g\r\n" % (u, v) for u, v in uv.tolist()
         )
+        # the Bloch map n -> M n + b is M = F[1:, 1:], b = F[1:, 0]; it is
+        # applied one file at a time, so one frame's points are held at once
+        directions = bloch_mod.grid_directions(uv)
+        tables = (directions @ f[1:, 1:].T + f[1:, 0] for f in propagators)
     else:
         header = "t,kappa\r\n"
         template = "%.12g,%.12g\r\n" * len(cfg.times)
     os.makedirs(cfg.output, exist_ok=True)
-    for name, item in files:
+    for name, table in zip(names, tables):
         path = os.path.join(cfg.output, name)
-        if cfg.figure == "bloch3d":
-            bmap = bloch_mod.bloch_map(gad_mod.gad_kraus_closed(item))
-            table = directions @ bmap.linear.T + bmap.shift
-        else:
-            table = item
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(header + template % tuple(table.ravel().tolist()))
         print(path)

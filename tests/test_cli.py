@@ -5,12 +5,14 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kraus_forge import cli
 from kraus_forge import gad as gad_mod
 from kraus_forge import pd as pd_mod
+from kraus_forge.bloch import spherical_grid
 from kraus_forge.cli import main
 from kraus_forge.errors import KrausForgeError
 from kraus_forge.kraus import (
@@ -413,13 +415,15 @@ def _directory_digest(directory) -> str:
     return digest.hexdigest()
 
 
-# SHA-256 of figure directories written before figure shared derive's
-# configuration path; any change of a single byte in these outputs fails here
+# SHA-256 of figure directories; any change of a single byte in these outputs
+# fails here. volume_rate was written before figure shared derive's
+# configuration path, bloch3d since its frames read the Bloch map from the
+# closed-form propagator (1034 of its 17,280 values moved, by at most 9.0e-17)
 GOLDEN_FIGURE = {
     "bloch3d": (
         ("figure", "--figure", "bloch3d", "--temperatures", "0,100,300",
          "--times", "0,0.05,0.3,2", "--grid", "24x12"),
-        "88ea651a1130686bdad39a4856724ad567661425388e295d06c8da2f66cbf5ca",
+        "a12bc54e419088c6c51e73101ffd79e359adda683de68c5a7c84c88c67b47778",
     ),
     "volume_rate": (
         ("figure", "--figure", "volume_rate", "--temperatures", "0,100,300",
@@ -439,6 +443,47 @@ def test_figure_golden_bytes(capsys, tmp_path, case):
     assert _directory_digest(out_dir) == digest
 
 
+def _default_bath_rates(temperature: float) -> gad_mod.GadRates:
+    # figure's bath when no value is overridden
+    return gad_mod.rates_from_physics(
+        gad_mod.BathSpectrum(alpha=0.02, omega0=10.0, omega_c=15.0, temperature=temperature)
+    )
+
+
+def test_figure_bloch3d_long_time_frame_is_the_fixed_point(capsys, tmp_path):
+    # t = 50 is tau = 322.9 here, where the closed-form Kraus subexpressions overflow
+    out_dir = tmp_path / "figs"
+    code, _, err = run_cli(
+        capsys, "figure", "--figure", "bloch3d", "--temperatures", "100",
+        "--times", "0.1,50", "--grid", "2x2", "--output", str(out_dir),
+    )
+    assert (code, err) == (0, "")
+    assert sorted(os.listdir(out_dir)) == ["bloch3d_T100_t0.1.csv", "bloch3d_T100_t50.csv"]
+    omega = gad_mod.rescale(_default_bath_rates(100.0), 50.0).omega
+    rows = np.loadtxt(out_dir / "bloch3d_T100_t50.csv", delimiter=",", skiprows=1)
+    # every state has relaxed to the fixed point, within 12-digit rounding
+    np.testing.assert_allclose(
+        rows[:, 2:], np.tile([0.0, 0.0, omega / 2], (4, 1)), rtol=5e-12, atol=1e-13
+    )
+
+
+def test_figure_bloch3d_small_time_frame_matches_expm(capsys, tmp_path):
+    # t = 1e-9 is tau = 6.5e-9 here, below where the closed-form Kraus set is singular
+    out_dir = tmp_path / "figs"
+    code, _, _ = run_cli(
+        capsys, "figure", "--figure", "bloch3d", "--temperatures", "100",
+        "--times", "1e-9", "--grid", "6x5", "--output", str(out_dir),
+    )
+    assert code == 0
+    rows = np.loadtxt(out_dir / "bloch3d_T100_t1e-09.csv", delimiter=",", skiprows=1)
+    uv = spherical_grid(6, 5)
+    u, v = uv[:, 0], uv[:, 1]
+    directions = np.stack([np.sin(v) * np.cos(u), np.sin(v) * np.sin(u), np.cos(v)], axis=1)
+    f = scipy.linalg.expm(gad_mod.gad_L(_default_bath_rates(100.0)) * 1e-9)
+    reference = np.hstack([uv, directions @ f[1:, 1:].T + f[1:, 0]])
+    np.testing.assert_allclose(rows, reference, rtol=5e-12, atol=1e-13)
+
+
 _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times", "0.1")
 
 
@@ -451,6 +496,7 @@ _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times",
         (*_BLOCH3D, "--times=-0.1"),
         (*_BLOCH3D, "--times", "nan"),
         (*_BLOCH3D, "--temperatures", "inf"),
+        (*_BLOCH3D, "--times", ","),
         ("figure", "--figure", "volume_rate", "--temperatures", "100",
          "--t-start=-1", "--t-end", "1", "--steps", "3"),
         # a negative number in exponent notation is a value, not an option
