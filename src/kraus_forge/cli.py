@@ -77,6 +77,14 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
+def _section(cfg_file: dict, key: str) -> dict:
+    # a config-file object such as "parameterization"; an absent one is empty
+    section = cfg_file.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be an object, got {section!r}")
+    return section
+
+
 def _finite(value, what: str) -> float:
     try:
         number = float(value)
@@ -114,7 +122,7 @@ def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> lis
     # for the scaled parameterization the time variable is tau itself
     if param.get("kind") == "scaled" and param.get("tau") is not None:
         return [_finite(param["tau"], "tau")]
-    grid = cfg_file.get("time_grid", {})
+    grid = _section(cfg_file, "time_grid")
     start = args.t_start if args.t_start is not None else grid.get("start")
     end = args.t_end if args.t_end is not None else grid.get("end")
     steps = args.steps if args.steps is not None else grid.get("steps")
@@ -124,8 +132,9 @@ def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> lis
         )
     start, end = _finite(start, "t_start"), _finite(end, "t_end")
     try:
-        steps = int(steps)
-    except (TypeError, ValueError) as exc:
+        # through str, so that 2.5 and true are rejected rather than truncated
+        steps = int(str(steps))
+    except ValueError as exc:
         raise ConfigError(f"steps must be an integer, got {steps!r}") from exc
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -137,7 +146,7 @@ def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> lis
 
 
 def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel: str) -> dict:
-    param = dict(cfg_file.get("parameterization", {}))
+    param = dict(_section(cfg_file, "parameterization"))
     kinds = [
         kind
         for kind, flag in (("scaled", args.scaled), ("physical", args.physical), ("rates", args.rates))
@@ -167,6 +176,8 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
             raise ConfigError("no parameterization given (use --scaled, --physical, or --rates)")
 
     kind = param["kind"]
+    if kind not in ("scaled", "physical", "rates"):
+        raise ConfigError(f"parameterization kind must be scaled, physical or rates, got {kind!r}")
     if channel == "gad" and kind == "scaled":
         if param.get("theta") is None or param.get("omega") is None:
             raise ConfigError("scaled parameterization needs --theta and --omega")
@@ -189,6 +200,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Read the config file and the flags of one subcommand; other keys are ignored."""
     cfg_file = _load_config_file(args.config) if args.config else {}
     cfg = RunConfig(output=args.output or cfg_file.get("output"))
+    if not isinstance(cfg.output, (str, type(None))):
+        raise ConfigError(f"output must be a path, got {cfg.output!r}")
     if args.command == "derive":
         channel = args.channel or cfg_file.get("channel")
         if channel not in ("gad", "pd"):
@@ -204,9 +217,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.times = _resolve_times(cfg_file, args, cfg.parameterization)
     elif args.command == "verify":
         cfg.channel = args.channel
-        tolerances = cfg_file.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("'tolerances' must be an object of name -> value")
+        tolerances = _section(cfg_file, "tolerances")
         cfg.tolerances = {str(k): _finite(v, f"tolerance {k}") for k, v in tolerances.items()}
         cfg.tol_override = args.tol
         env_tol = os.environ.get("KRAUS_FORGE_TOL")
@@ -216,7 +227,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"KRAUS_FORGE_TOL is not a float: {env_tol!r}") from exc
     else:
-        fig_file = cfg_file.get("figure", {})
+        fig_file = _section(cfg_file, "figure")
         cfg.figure = args.figure or fig_file.get("kind")
         if cfg.figure not in ("bloch3d", "volume_rate"):
             raise ConfigError("figure kind must be 'bloch3d' or 'volume_rate'")
@@ -234,7 +245,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         grid = args.grid or fig_file.get("grid")
         if grid is not None:
             cfg.grid = _grid(grid)
-        bath = dict(cfg_file.get("bath", {}))
+        bath = dict(_section(cfg_file, "bath"))
         for key, default in (("alpha", 0.02), ("omega0", 10.0), ("cutoff", 15.0)):
             value = getattr(args, key)
             bath[key] = _finite(value if value is not None else bath.get(key, default), key)
@@ -264,9 +275,8 @@ def _gad_rates_from_param(param: dict) -> gad_mod.GadRates:
         if x is None:
             x = gad_mod.hamiltonian_shift(bath) if param.get("shift") else 0.0
         return gad_mod.rates_from_physics(bath, x=x)
-    return gad_mod.GadRates(
-        x=param.get("x") or 0.0, y=param["y"], z=param["z"]
-    )
+    x = param.get("x")
+    return gad_mod.GadRates(x=0.0 if x is None else x, y=param["y"], z=param["z"])
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -393,7 +403,8 @@ def _derive_text(cfg: RunConfig) -> str:
             scaled = gad_mod.rescale(rates, 1.0)
             taus = scaled.tau * times
             generator = gad_mod.gad_L(rates)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        # TypeError: a config-file value of the wrong JSON type, such as a list
         raise ConfigError(str(exc)) from exc
     # the route's keys close every point; their constants are rendered once
     route = []

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kraus_forge import cli
@@ -589,6 +589,14 @@ def test_negative_exponent_number_is_an_option_value(capsys):
         # the derive header echoes the parameterization, which must not write NaN
         (("derive", "--channel", "pd", "--t", "1"),
          {"parameterization": {"kind": "rates", "rate": 1, "note": float("nan")}}),
+        # values and sections of the wrong JSON type
+        (("derive", "--channel", "pd", "--t", "1"),
+         {"parameterization": {"kind": "rates", "rate": [1]}}),
+        (("derive", "--channel", "pd", "--t", "1"), {"parameterization": [1, 2]}),
+        (("derive", "--channel", "gad", "--t", "1"), {"parameterization": {"kind": "bogus"}}),
+        # a step count is not truncated to an integer
+        (("derive", "--channel", "pd", "--rate", "1"),
+         {"time_grid": {"start": 0, "end": 1, "steps": 2.5}}),
     ],
 )
 def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
@@ -689,6 +697,8 @@ def _reference_document(channel, param, times):
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_derive_cases(), via_config=st.booleans())
+# x = -0.0 is given, so it is echoed as -0.0 in the rates and theta too
+@example(case=("gad", "rates", {"x": -0.0, "y": 1, "z": 0}, 0.0, 0.0, 1), via_config=False)
 def test_derive_text_equals_json_dumps_of_the_dict_documents(capsys, tmp_path, case, via_config):
     channel, kind, values, start, end, steps = case
     argv = ["derive", "--channel", channel, "--t-start", repr(start), f"--t-end={end!r}",
