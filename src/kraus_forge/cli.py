@@ -636,8 +636,7 @@ def cmd_figure(cfg: RunConfig) -> int:
             ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # each file is one %-template filled with its table, row by row; the
-    # template's "%.12g" gives the text of f"{value:.12g}"
+    # each file is one %-template filled with its table, row by row
     if cfg.figure == "bloch3d":
         header = "u,v,x,y,z\r\n"
         # the u, v columns are the same in every file, so they are formatted once
