@@ -496,11 +496,12 @@ _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times",
         (*_BLOCH3D, "--times=-0.1"),
         (*_BLOCH3D, "--times", "nan"),
         (*_BLOCH3D, "--temperatures", "inf"),
-        (*_BLOCH3D, "--times", ","),
         ("figure", "--figure", "volume_rate", "--temperatures", "100",
          "--t-start=-1", "--t-end", "1", "--steps", "3"),
         # a negative number in exponent notation is a value, not an option
         (*_BLOCH3D, "--alpha", "-1e-3"),
+        # an empty list, which would write an empty directory
+        (*_BLOCH3D, "--times", ","),
     ],
 )
 def test_figure_rejects_bad_input_before_writing(capsys, tmp_path, argv):
