@@ -10,10 +10,12 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -725,29 +727,53 @@ _SUBCOMMANDS = {
 }
 
 
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--output", help="output path ('-' for stdout)")
+    _SUBCOMMANDS[command][1](parser)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; given ``command``, only that subcommand gets its options."""
+    """The CLI's whole parser; given ``command``, that subcommand's parser alone.
+
+    A subcommand's parser built alone is the one the whole tree hands the
+    words after the subcommand to, so it reads them the same way.
+    """
+    # the terminal is measured once here, not by each add_argument's formatter
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    if command is not None:
+        parser = _Parser(prog=f"kraus-forge {command}", formatter_class=formatter)
+        _add_options(parser, command)
+        return parser
     parser = _Parser(
         prog="kraus-forge",
         description="Derive, verify, and visualize qubit noise-channel Kraus operators.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            subparser.add_argument("--config", help="JSON config file; flags override its values")
-            subparser.add_argument("--output", help="output path ('-' for stdout)")
-            add_arguments(subparser)
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace the whole parser gives ``argv``, built from one subcommand.
+
+    Only the named subcommand's parser reads the words after it. The whole
+    tree reads ``argv`` only where its top level prints help or an error.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # the top level has no option that takes a value, so the first word that
-    # is not an option names the subcommand, the only one that needs options
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _config_from_args(args)
         if args.command == "derive":

@@ -26,6 +26,8 @@ from .lindblad import LindbladGenerator
 from .linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 
 _SINGULAR_TAU = 1e-8
+# above this the closed-form subexpressions overflow; the long-time limit holds
+_LIMIT_TAU = 300.0
 
 
 @dataclass(frozen=True)
@@ -273,12 +275,13 @@ def gad_intermediates(scaled: GadScaled) -> GadIntermediates:
 
     Singular at tau = 0 (the complex factor ``a`` vanishes); tau below 1e-8
     raises SingularTime. The growing factors overflow doubles near tau = 350,
-    where the long-time limit set applies anyway.
+    so tau above 300 raises OverflowDetected; ``gad_kraus_closed`` returns
+    the long-time limit set there.
     """
     theta, omega, tau = scaled.theta, scaled.omega, scaled.tau
     if tau < _SINGULAR_TAU:
         raise SingularTime(f"closed-form subexpressions singular for tau={tau}")
-    if tau > 300.0:
+    if tau > _LIMIT_TAU:
         raise OverflowDetected(
             f"closed-form subexpressions overflow for tau={tau}; "
             "use the asymptotic set"
@@ -316,10 +319,16 @@ def gad_kraus_closed(scaled: GadScaled) -> KrausSet:
     Zero operators are kept in place (at omega = -2 the second and third
     vanish identically), so the set always has four entries with weights
     equal to the Choi eigenvalues. Below tau = 1e-8 the formulas are
-    singular and the identity set is returned instead.
+    singular and the identity set is returned instead. Above tau = 300,
+    where e^(-tau) lies far below double precision and the formulas
+    overflow, the long-time limit set is returned in the same order.
     """
     if scaled.tau < _SINGULAR_TAU:
         return identity_kraus_set()
+    if scaled.tau > _LIMIT_TAU:
+        # the limit set lists its two diagonal operators the other way round
+        lower, upper, second, first = gad_kraus_asymptotic(scaled.omega).operators
+        return KrausSet((lower, upper, first, second), tuple(gad_choi_eigenvalues(scaled).tolist()))
     omega = scaled.omega
     lam = -math.expm1(-2.0 * scaled.tau)
     sub = gad_intermediates(scaled)
@@ -475,11 +484,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
 
 
 def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float]) -> float:
+    """Gauss-Legendre sum of ``f`` over the panels between consecutive ``edges``.
+
+    ``f`` is called once, on the nodes of every panel as rows; the panel sums
+    are then added in panel order, so each bit is that of one call per panel.
+    """
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    values = f(mid[:, None] + half[:, None] * _GL_NODES)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        total += half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    for width, row in zip(half.tolist(), values):
+        total += width * float(np.dot(_GL_WEIGHTS, row))
     return total
 
 

@@ -574,6 +574,76 @@ def test_help_golden_bytes(capsys, monkeypatch, case):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# argv lists the subcommand's own parser must read as the whole tree reads
+# them: help at each position, top-level words, unknown and abbreviated
+# options, stray words, "--", bad types and choices, negative numbers in
+# exponent notation, repeated options
+PARSE_CASES = [
+    ("--help",),
+    ("-h",),
+    ("derive", "--help"),
+    ("verify", "-h"),
+    ("figure", "--help"),
+    ("derive", "--channel", "pd", "--help"),
+    ("--help", "derive"),
+    ("derive", "--he"),
+    (),
+    ("bogus",),
+    ("Derive", "--channel", "pd"),
+    ("der",),
+    ("--channel", "pd", "derive"),
+    ("derive", "--bogus", "1"),
+    ("derive", "--tol", "5"),
+    ("verify", "--channel", "pd", "--tol"),
+    ("derive", "--chan", "pd", "--rate", "1", "--t", "0.5"),
+    ("derive", "--t-s", "0", "--t-e", "1", "--st", "3"),
+    ("derive", "--om", "1"),
+    ("figure", "--temp", "1,2"),
+    ("derive", "--channel", "pd", "extra"),
+    ("verify", "derive"),
+    ("derive", "derive"),
+    ("derive", "--"),
+    ("derive", "--channel", "pd", "--", "--rate", "1"),
+    ("--", "derive"),
+    ("derive", "-"),
+    ("derive", "-x"),
+    ("derive", "--steps", "2.5"),
+    ("derive", "--theta", "abc"),
+    ("derive", "--channel", "xyz"),
+    ("verify", "--channel", "gad,pd"),
+    ("derive", "--omega", "-6.5e-06"),
+    ("derive", "--omega=-6.5e-06"),
+    ("derive", "--omega", "-1E+2", "--theta", "-.5"),
+    ("derive", "--x", "-1e-3", "--y", "-5"),
+    ("derive", "--channel", "gad", "--channel", "pd"),
+    ("verify", "--tol", "1", "--tol", "2"),
+    ("verify",),
+    ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times", "0.1",
+     "--output", "out"),
+    ("derive", "--config", "run.json", "--output", "-"),
+    ("derive", "--channel", "pd", "--rate", "1", "--t", "0.5"),
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = ("parsed", vars(parse(list(argv))))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (*result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_dispatch_reads_argv_as_the_whole_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    if expected[0] == "parsed":
+        assert _parse_outcome(capsys, cli._parse_args, argv) == expected
+    else:
+        # help and errors end main as the whole tree ends it
+        assert _parse_outcome(capsys, main, argv) == expected
+
+
 def test_negative_exponent_number_is_an_option_value(capsys):
     argv = ("derive", "--channel", "gad", "--scaled", "--theta", "1", "--tau", "1")
     code, spaced, _ = run_cli(capsys, *argv, "--omega", "-6.5e-06")

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kraus_forge import gad as gad_mod
 from kraus_forge.errors import QuadratureFailure, SingularTime
 from kraus_forge.gad import (
     BathSpectrum,
@@ -36,6 +38,7 @@ from kraus_forge.kraus import (
     choi_distance,
     choi_from_propagator,
     kraus_from_choi,
+    kraus_stack,
     propagate,
 )
 from kraus_forge.lindblad import build_L
@@ -301,6 +304,20 @@ def test_closed_kraus_converges_to_asymptotic():
         assert choi_distance(closed, gad_kraus_asymptotic(omega)) < 1e-7
 
 
+@pytest.mark.parametrize("tau", [300.0, 301.0, 1e4, 1e300])
+@pytest.mark.parametrize("omega", [-2.0, -1.0, -0.1])
+def test_closed_kraus_long_time_is_the_limit_set(omega, tau):
+    # past tau = 300 the closed form gives the long-time limit set, in the
+    # canonical order, with the Choi eigenvalues as weights
+    scaled = GadScaled(1.0, omega, tau)
+    kset = gad_kraus_closed(scaled)
+    pipeline = kraus_stack(gad_F_closed(scaled)[None]).kraus_set(0)
+    assert choi_distance(kset, pipeline) <= 1e-12
+    assert kset.weights == tuple(gad_choi_eigenvalues(scaled).tolist())
+    for op, weight in zip(kset.operators, kset.weights):
+        assert abs(np.trace(op.conj().T @ op).real - weight) < 1e-12
+
+
 def test_reference_kraus_identity_at_zero_weight():
     kset = reference_gad_kraus(ReferenceGadParams(0.0, 0.3))
     ops = kset.operators
@@ -470,6 +487,52 @@ def test_lamb_stark_self_convergence():
         vacuum, 0.0, 50.0 * bath.omega_c, weight="cauchy", wvar=bath.omega0, limit=400
     )
     assert shifts.delta == pytest.approx(-reference, abs=1e-8)
+
+
+def _gauss_panels_per_panel(f, edges):
+    # the quadrature as one integrand call per panel: the bitwise reference
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        total += half * float(np.dot(gad_mod._GL_WEIGHTS, f(mid + half * gad_mod._GL_NODES)))
+    return total
+
+
+@st.composite
+def baths(draw):
+    # the benchmark draws alpha in [0.005, 0.05], omega0 in [5, 20], cutoff in
+    # [5, 30] and temperature in [0, 500]; these reach past every end
+    omega0 = draw(st.floats(min_value=0.05, max_value=40.0))
+    temperature = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=2000.0),
+            # omega0 / T beyond 700, where the occupation is cut to 0
+            st.floats(min_value=700.0, max_value=1e6).map(lambda ratio: omega0 / ratio),
+        )
+    )
+    return BathSpectrum(
+        alpha=draw(st.floats(min_value=0.0, max_value=0.5)),
+        omega0=omega0,
+        omega_c=draw(st.floats(min_value=1.0, max_value=60.0)),
+        temperature=temperature,
+    )
+
+
+def _shift_or_failure(bath):
+    try:
+        return tuple(value.hex() for value in lamb_stark_shift(bath))
+    except QuadratureFailure as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(bath=baths())
+def test_lamb_stark_panels_in_one_call_keep_every_bit(bath):
+    with mock.patch.object(gad_mod, "_gauss_panels", _gauss_panels_per_panel):
+        reference = _shift_or_failure(bath)
+    assert _shift_or_failure(bath) == reference
 
 
 def test_lamb_stark_rejects_pole_outside_window():
