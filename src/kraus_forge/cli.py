@@ -29,9 +29,11 @@ from .errors import KrausForgeError
 from .kraus import (
     WEIGHT_CUTOFF,
     KrausStack,
-    choi_distance,
+    choi_distances,
+    completeness_residuals,
     kraus_diagnostics,
     kraus_stack,
+    operator_stack,
     propagate,
 )
 from .linalg import matrix_exp
@@ -94,6 +96,13 @@ def _finite(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be finite, got {number}")
+    return number
+
+
+def _nonnegative(value, what: str) -> float:
+    number = _finite(value, what)
+    if number < 0.0:
+        raise ConfigError(f"{what} must be >= 0, got {number}")
     return number
 
 
@@ -212,22 +221,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cutoff = args.weight_cutoff
         if cutoff is None:
             cutoff = cfg_file.get("weight_cutoff", WEIGHT_CUTOFF)
-        cfg.weight_cutoff = _finite(cutoff, "weight cutoff")
-        if cfg.weight_cutoff < 0.0:
-            raise ConfigError(f"weight cutoff must be >= 0, got {cfg.weight_cutoff}")
+        cfg.weight_cutoff = _nonnegative(cutoff, "weight cutoff")
         cfg.parameterization = _resolve_parameterization(cfg_file, args, channel)
         cfg.times = _resolve_times(cfg_file, args, cfg.parameterization)
     elif args.command == "verify":
         cfg.channel = args.channel
         tolerances = _section(cfg_file, "tolerances")
-        cfg.tolerances = {str(k): _finite(v, f"tolerance {k}") for k, v in tolerances.items()}
-        cfg.tol_override = args.tol
+        cfg.tolerances = {str(k): _nonnegative(v, f"tolerance {k}") for k, v in tolerances.items()}
         env_tol = os.environ.get("KRAUS_FORGE_TOL")
-        if env_tol is not None:
-            try:
-                cfg.tol_override = float(env_tol)
-            except ValueError as exc:
-                raise ConfigError(f"KRAUS_FORGE_TOL is not a float: {env_tol!r}") from exc
+        # the environment variable takes precedence over the flag
+        for what, value in (("--tol", args.tol), ("KRAUS_FORGE_TOL", env_tol)):
+            if value is not None:
+                cfg.tol_override = _nonnegative(value, what)
     else:
         fig_file = _section(cfg_file, "figure")
         cfg.figure = args.figure or fig_file.get("kind")
@@ -477,103 +482,54 @@ def _verify_gad_checks() -> list[tuple[str, float, float]]:
         np.array([gad_mod.gad_L_scaled(scaled) for scaled in grid]),
         [scaled.tau for scaled in grid],
     )
-    closed_vs_numeric = float(np.abs(closed_f - numeric_f).max())
-    spectrum = 0.0
-    eig_sum = 0.0
-    completeness = 0.0
-    closed_vs_pipeline = 0.0
-    reference_vs_pipeline = 0.0
-    textbook = 0.0
     pipeline = kraus_stack(closed_f)
-    for k, scaled in enumerate(grid):
-        closed_vals = np.sort(gad_mod.gad_choi_eigenvalues(scaled))[::-1]
-        spectrum = max(spectrum, float(np.abs(pipeline.values[k] - closed_vals).max()))
-        eig_sum = max(eig_sum, abs(float(closed_vals.sum()) - 2.0))
-        pipeline_set = pipeline.kraus_set(k)
-        closed_set = gad_mod.gad_kraus_closed(scaled)
-        reference_set = gad_mod.compose_z_rotation(
+    closed_vals = np.array([np.sort(gad_mod.gad_choi_eigenvalues(scaled))[::-1] for scaled in grid])
+    closed = operator_stack([gad_mod.gad_kraus_closed(scaled) for scaled in grid])
+    reference = operator_stack([
+        gad_mod.compose_z_rotation(
             gad_mod.reference_gad_kraus(gad_mod.ReferenceGadParams.from_scaled(scaled)),
             scaled.theta * scaled.tau,
         )
-        completeness = max(
-            completeness,
-            pipeline_set.completeness_residual(),
-            closed_set.completeness_residual(),
-            reference_set.completeness_residual(),
-        )
-        closed_vs_pipeline = max(
-            closed_vs_pipeline, choi_distance(closed_set, pipeline_set)
-        )
-        reference_vs_pipeline = max(
-            reference_vs_pipeline, choi_distance(reference_set, pipeline_set)
-        )
-    asymptotic = 0.0
-    limits = kraus_stack(
-        np.array(
-            [gad_mod.gad_F_closed(gad_mod.GadScaled(0.0, omega, 20.0)) for omega in _GAD_GRID["omega"]]
-        )
-    )
-    for k, omega in enumerate(_GAD_GRID["omega"]):
-        asymptotic = max(
-            asymptotic, choi_distance(limits.kraus_set(k), gad_mod.gad_kraus_asymptotic(omega))
-        )
-    for tau in _GAD_GRID["tau"]:
-        lam = -math.expm1(-2.0 * tau)
-        textbook = max(
-            textbook,
-            choi_distance(
-                gad_mod.textbook_ad_kraus(lam),
-                gad_mod.gad_kraus_closed(gad_mod.GadScaled(0.0, -2.0, tau)),
-            ),
-        )
+        for scaled in grid
+    ])
+    omegas, taus = _GAD_GRID["omega"], _GAD_GRID["tau"]
+    limits = kraus_stack(np.array([gad_mod.gad_F_closed(gad_mod.GadScaled(0.0, w, 20.0)) for w in omegas]))
+    asymptotic = operator_stack([gad_mod.gad_kraus_asymptotic(w) for w in omegas])
+    textbook = operator_stack([gad_mod.textbook_ad_kraus(-math.expm1(-2.0 * tau)) for tau in taus])
+    damping = operator_stack([gad_mod.gad_kraus_closed(gad_mod.GadScaled(0.0, -2.0, tau)) for tau in taus])
+    sets = (pipeline.operators, closed, reference)
     return [
-        ("gad_closed_vs_numeric_propagator", closed_vs_numeric, 1e-9),
-        ("gad_choi_spectrum", spectrum, 1e-10),
-        ("gad_choi_eigenvalue_sum", eig_sum, 1e-12),
-        ("gad_completeness", completeness, 1e-9),
-        ("gad_closed_vs_pipeline_choi", closed_vs_pipeline, 1e-9),
-        ("gad_reference_vs_pipeline_choi", reference_vs_pipeline, 1e-9),
-        ("gad_asymptotic_limit", asymptotic, 1e-7),
-        ("gad_textbook_equivalence", textbook, 1e-10),
+        ("gad_closed_vs_numeric_propagator", np.abs(closed_f - numeric_f).max(), 1e-9),
+        ("gad_choi_spectrum", np.abs(pipeline.values - closed_vals).max(), 1e-10),
+        ("gad_choi_eigenvalue_sum", np.abs(closed_vals.sum(axis=1) - 2.0).max(), 1e-12),
+        ("gad_completeness", max(completeness_residuals(ops).max() for ops in sets), 1e-9),
+        ("gad_closed_vs_pipeline_choi", choi_distances(closed, pipeline.operators).max(), 1e-9),
+        ("gad_reference_vs_pipeline_choi", choi_distances(reference, pipeline.operators).max(), 1e-9),
+        ("gad_asymptotic_limit", choi_distances(limits.operators, asymptotic).max(), 1e-7),
+        ("gad_textbook_equivalence", choi_distances(textbook, damping).max(), 1e-10),
     ]
 
 
 def _verify_pd_checks() -> list[tuple[str, float, float]]:
     params = pd_mod.PdParams(1.0)
     times = (0.1, 1.0, 5.0)
-    pipeline = kraus_stack(propagate(pd_mod.pd_L(params), times))
-    pipeline_vs_closed = 0.0
-    pipeline_vs_standard = 0.0
-    completeness = 0.0
-    bloch_residual = 0.0
-    for k, t in enumerate(times):
-        pipeline_set = pipeline.kraus_set(k)
-        closed_set = pd_mod.pd_kraus(params, t)
-        standard_set = pd_mod.pd_standard_kraus(-math.expm1(-2.0 * params.r * t))
-        completeness = max(
-            completeness,
-            pipeline_set.completeness_residual(),
-            closed_set.completeness_residual(),
-            standard_set.completeness_residual(),
-        )
-        pipeline_vs_closed = max(pipeline_vs_closed, choi_distance(pipeline_set, closed_set))
-        pipeline_vs_standard = max(
-            pipeline_vs_standard, choi_distance(pipeline_set, standard_set)
-        )
-        bmap = bloch_mod.bloch_map(closed_set)
-        for u in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False):
-            for v in np.linspace(0.0, np.pi, 6):
-                direction = np.array(
-                    [math.sin(v) * math.cos(u), math.sin(v) * math.sin(u), math.cos(v)]
-                )
-                solution = pd_mod.pd_bloch(params, t, u, v)
-                bloch_residual = max(
-                    bloch_residual, float(np.abs(bmap(direction) - solution).max())
-                )
+    pipeline = kraus_stack(propagate(pd_mod.pd_L(params), times)).operators
+    closed_sets = [pd_mod.pd_kraus(params, t) for t in times]
+    closed = operator_stack(closed_sets)
+    standard = operator_stack([pd_mod.pd_standard_kraus(-math.expm1(-2.0 * params.r * t)) for t in times])
+    uv = bloch_mod.spherical_grid(6, 6).tolist()
+    bloch_residual = max(
+        np.abs(
+            bloch_mod.sample_ellipsoid(bloch_mod.bloch_map(kset), (6, 6))
+            - [pd_mod.pd_bloch(params, t, u, v) for u, v in uv]
+        ).max()
+        for t, kset in zip(times, closed_sets)
+    )
+    sets = (pipeline, closed, standard)
     return [
-        ("pd_pipeline_vs_closed_choi", pipeline_vs_closed, 1e-12),
-        ("pd_pipeline_vs_standard_choi", pipeline_vs_standard, 1e-12),
-        ("pd_completeness", completeness, 1e-12),
+        ("pd_pipeline_vs_closed_choi", choi_distances(pipeline, closed).max(), 1e-12),
+        ("pd_pipeline_vs_standard_choi", choi_distances(pipeline, standard).max(), 1e-12),
+        ("pd_completeness", max(completeness_residuals(ops).max() for ops in sets), 1e-12),
         ("pd_bloch_solution", bloch_residual, 1e-9),
     ]
 

@@ -21,7 +21,9 @@ from .errors import (
     NotCompletelyPositive,
     NotTracePreserving,
 )
-from .linalg import SIGMA_I, hermitian_basis, hermitian_eig, matrix_exp, max_nonhermiticity
+from .linalg import (
+    SIGMA_I, frobenius_norms, hermitian_basis, hermitian_eig, matrix_exp, max_nonhermiticity,
+)
 
 #: default eigenvalue cutoff below which Kraus operators are dropped
 WEIGHT_CUTOFF = 1e-12
@@ -77,8 +79,15 @@ class KrausSet:
 
     def completeness_residual(self) -> float:
         """Largest entrywise deviation of sum(E^dag E) from the identity."""
-        acc = sum(op.conj().T @ op for op in self.operators)
-        return float(np.abs(acc - SIGMA_I).max())
+        return float(completeness_residuals(operator_stack([self]))[0])
+
+
+def operator_stack(ksets: list[KrausSet]) -> np.ndarray:
+    """The operators of Kraus sets as one (k, m, 2, 2) stack, zero-padded to the longest set."""
+    stack = np.zeros((len(ksets), max(map(len, ksets)), 2, 2), dtype=complex)
+    for member, kset in zip(stack, ksets):
+        member[: len(kset)] = kset.operators
+    return stack
 
 
 def identity_kraus_set() -> KrausSet:
@@ -188,10 +197,27 @@ def kraus_from_choi(choi: np.ndarray, cutoff: float = WEIGHT_CUTOFF) -> KrausSet
     return _decompose(s[None], cutoff).kraus_set(0)
 
 
+def completeness_residuals(operators: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of sum(E^dag E) from the identity, per member.
+
+    ``operators`` is a zero-padded stack (k, m, 2, 2); the result has shape (k,).
+    """
+    gram = operators.conj().transpose(0, 1, 3, 2) @ operators
+    total = gram[:, 0]
+    for i in range(1, gram.shape[1]):
+        total = total + gram[:, i]
+    return np.abs(total - SIGMA_I).max(axis=(1, 2))
+
+
+def _operator_choi(operators: np.ndarray) -> np.ndarray:
+    # Choi matrices (k, 4, 4) of a zero-padded operator stack (k, m, 2, 2)
+    coeffs = np.einsum("jab,kiba->kji", _G, operators)
+    return coeffs @ coeffs.conj().transpose(0, 2, 1)
+
+
 def kraus_to_choi(kset: KrausSet) -> np.ndarray:
     """Choi matrix of the channel a Kraus set implements."""
-    coeffs = np.einsum("jab,iba->ji", _G, np.stack(kset.operators))
-    return coeffs @ coeffs.conj().T
+    return _operator_choi(operator_stack([kset]))[0]
 
 
 def apply_channel(kset: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -212,37 +238,38 @@ def apply_channel(kset: KrausSet, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def choi_distances(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Frobenius distance between the Choi matrices of paired members of two stacks.
+
+    Both are zero-padded (k, m, 2, 2) stacks, and every member must be
+    complete within 1e-8; the result has shape (k,).
+    """
+    for name, operators in (("first", first), ("second", second)):
+        residual = completeness_residuals(operators).max(initial=0.0)
+        if residual > 1e-8:
+            raise IncompleteKrausSet(
+                f"{name} Kraus set has completeness residual {residual:.3e}"
+            )
+    return frobenius_norms(_operator_choi(first) - _operator_choi(second))
+
+
 def choi_distance(first: KrausSet, second: KrausSet) -> float:
     """Frobenius distance between the Choi matrices of two Kraus sets.
 
     Zero exactly when both sets implement the same channel. Both sets must
     be complete within 1e-8.
     """
-    for name, kset in (("first", first), ("second", second)):
-        residual = kset.completeness_residual()
-        if residual > 1e-8:
-            raise IncompleteKrausSet(
-                f"{name} Kraus set has completeness residual {residual:.3e}"
-            )
-    return float(np.linalg.norm(kraus_to_choi(first) - kraus_to_choi(second)))
+    return float(choi_distances(operator_stack([first]), operator_stack([second]))[0])
 
 
 def kraus_diagnostics(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Completeness residual and rebuilt Choi spectrum of each member of a stack.
 
-    ``operators`` has shape (k, m, 2, 2), zero-padded where a member keeps
-    fewer than m operators. The residual is the largest entrywise deviation
-    of sum(E^dag E) from the identity, shape (k,). The Choi matrix is rebuilt
-    from the operators and decomposed again, as an independent check of the
-    set, in one stacked call: shape (k, 4), descending.
+    ``operators`` is a zero-padded stack (k, m, 2, 2). The Choi matrix is
+    rebuilt from the operators and decomposed again, as an independent check
+    of the set, in one stacked call: shape (k, 4), descending.
     """
-    coeffs = np.einsum("jab,kiba->kji", _G, operators)
-    rebuilt = hermitian_eig(coeffs @ coeffs.conj().transpose(0, 2, 1))[0]
-    gram = operators.conj().transpose(0, 1, 3, 2) @ operators
-    total = gram[:, 0]
-    for i in range(1, gram.shape[1]):
-        total = total + gram[:, i]
-    return np.abs(total - SIGMA_I).max(axis=(1, 2)), rebuilt
+    return completeness_residuals(operators), hermitian_eig(_operator_choi(operators))[0]
 
 
 def _kraus_dicts(operators: np.ndarray, weights: np.ndarray, kept: np.ndarray) -> list[dict]:
@@ -269,8 +296,8 @@ def kraus_stack_to_dicts(stack: KrausStack) -> list[dict]:
 
 def kraus_set_to_dict(kset: KrausSet) -> dict:
     """JSON-ready document: operators as [re, im] pairs plus diagnostics."""
-    operators = np.stack(kset.operators)[None]
-    return _kraus_dicts(operators, np.array([kset.weights]), np.array([len(kset)]))[0]
+    weights = np.array([kset.weights])
+    return _kraus_dicts(operator_stack([kset]), weights, np.array([len(kset)]))[0]
 
 
 def kraus_set_from_dict(doc: dict) -> KrausSet:

@@ -56,6 +56,14 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().transpose(0, 2, 1)) / 2.0
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (k, n, n), equal to np.linalg.norm bit for bit."""
+    count, rows, cols = stack.shape
+    flat = stack.reshape(count, 1, rows * cols)
+    squares = flat.real @ flat.real.transpose(0, 2, 1) + flat.imag @ flat.imag.transpose(0, 2, 1)
+    return np.sqrt(squares[:, 0, 0])
+
+
 #: largest entrywise |M - M^dag| that hermitian_eig accepts
 HERMITIAN_TOLERANCE = 1e-12
 
@@ -100,11 +108,8 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     identity = np.repeat(np.eye(n, dtype=complex)[None], count, axis=0)
     vectors = identity.copy()
 
-    # Frobenius norms; this product is np.linalg.norm's dot bit for bit, and
-    # the norm sets the convergence threshold
-    flat = a.reshape(count, 1, n * n)
-    squares = flat.real @ flat.real.transpose(0, 2, 1) + flat.imag @ flat.imag.transpose(0, 2, 1)
-    scale = np.sqrt(squares[:, 0, 0])
+    # the Frobenius norm sets the convergence threshold
+    scale = frobenius_norms(a)
     off_tol = 1e-15 * scale
     # the (p, q) pairs of one cyclic sweep, in row-major order
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]

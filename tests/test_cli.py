@@ -215,6 +215,27 @@ def test_verify_report_and_env_override(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+def test_verify_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path, monkeypatch, source, value):
+    # exit 1 is kept for a failed check, and no report may carry NaN
+    report = tmp_path / "report.json"
+    argv = ["verify", "--channel", "pd", "--output", str(report)]
+    if source == "flag":
+        argv.append(f"--tol={value}")
+    elif source == "environment":
+        monkeypatch.setenv("KRAUS_FORGE_TOL", value)
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"tolerances": {"pd_completeness": float(value)}}))
+        argv += ["--config", str(config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert not report.exists()
+
+
 def test_figure_bloch3d_outputs(capsys, tmp_path):
     out_dir = tmp_path / "figs"
     code, out, _ = run_cli(

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kraus_forge.errors import (
     IncompleteKrausSet,
@@ -13,9 +15,12 @@ from kraus_forge.errors import (
 )
 from kraus_forge.kraus import (
     KrausSet,
+    _operator_choi,
     apply_channel,
     choi_distance,
+    choi_distances,
     choi_from_propagator,
+    completeness_residuals,
     identity_kraus_set,
     kraus_from_choi,
     kraus_set_from_dict,
@@ -23,6 +28,7 @@ from kraus_forge.kraus import (
     kraus_stack,
     kraus_stack_to_dicts,
     kraus_to_choi,
+    operator_stack,
     propagate,
 )
 from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z, hermitian_basis, hermitian_eig
@@ -324,3 +330,69 @@ def test_kraus_stack_equals_single_point_calls(rates):
 def test_propagate_rejects_any_negative_time():
     with pytest.raises(NegativeTime):
         propagate(np.zeros((4, 4)), [0.0, 1.0, -0.5])
+
+
+# one operator: a decade exponent for its scale and its 8 real numbers
+_OPERATOR = st.tuples(
+    st.floats(-8.0, 3.0), st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+)
+_MEMBERS = st.lists(st.lists(_OPERATOR, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+def _padded(sets):
+    # zero-padded to four operators per member
+    stack = np.zeros((len(sets), 4, 2, 2), dtype=complex)
+    for member, ops in zip(stack, sets):
+        member[: len(ops)] = ops
+    return stack
+
+
+def _completed(ops):
+    # the orthonormal columns of a QR factorization, cut into 2x2 blocks,
+    # form a complete set for any input, rank-deficient or not
+    q = np.linalg.qr(np.concatenate(ops))[0]
+    return list(q.reshape(len(ops), 2, 2))
+
+
+def _reference_residual(ops):
+    return float(np.abs(sum(op.conj().T @ op for op in ops) - SIGMA_I).max())
+
+
+def _reference_choi(ops):
+    coeffs = np.einsum("jab,iba->ji", hermitian_basis(), np.stack(ops))
+    return coeffs @ coeffs.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MEMBERS)
+def test_stacked_kernels_equal_the_per_set_formulas(members):
+    # the stacked kernels give every member exactly what the per-set formulas
+    # sum(E^dag E), the einsum Choi fold and np.linalg.norm give it
+    sets = [
+        [10.0 ** exponent * (np.array(v[:4]) + 1j * np.array(v[4:])).reshape(2, 2)
+         for exponent, v in member]
+        for member in members
+    ]
+    stack = _padded(sets)
+    width = max(map(len, sets))
+    assert np.array_equal(operator_stack([KrausSet(tuple(ops)) for ops in sets]), stack[:, :width])
+    assert completeness_residuals(stack).tolist() == [_reference_residual(ops) for ops in sets]
+    assert np.array_equal(_operator_choi(stack), np.array([_reference_choi(ops) for ops in sets]))
+    first = [_completed(ops) for ops in sets]
+    second = first[::-1]
+    assert choi_distances(_padded(first), _padded(second)).tolist() == [
+        float(np.linalg.norm(_reference_choi(a) - _reference_choi(b)))
+        for a, b in zip(first, second)
+    ]
+
+
+def test_choi_distances_name_the_incomplete_stack():
+    from kraus_forge.gad import textbook_ad_kraus
+
+    complete = operator_stack([identity_kraus_set(), textbook_ad_kraus(0.3)])
+    incomplete = complete.copy()
+    incomplete[1] *= 0.5
+    with pytest.raises(IncompleteKrausSet, match="^first "):
+        choi_distances(incomplete, complete)
+    with pytest.raises(IncompleteKrausSet, match="^second "):
+        choi_distances(complete, incomplete)
