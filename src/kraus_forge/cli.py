@@ -499,7 +499,7 @@ def _verify_gad_checks() -> list[tuple[str, float, float]]:
     damping = operator_stack([gad_mod.gad_kraus_closed(gad_mod.GadScaled(0.0, -2.0, tau)) for tau in taus])
     sets = (pipeline.operators, closed, reference)
     return [
-        ("gad_closed_vs_numeric_propagator", np.abs(closed_f - numeric_f).max(), 1e-9),
+        ("gad_closed_vs_numeric_propagator", np.abs(closed_f - numeric_f).max(), 1e-10),
         ("gad_choi_spectrum", np.abs(pipeline.values - closed_vals).max(), 1e-10),
         ("gad_choi_eigenvalue_sum", np.abs(closed_vals.sum(axis=1) - 2.0).max(), 1e-12),
         ("gad_completeness", max(completeness_residuals(ops).max() for ops in sets), 1e-9),

@@ -424,7 +424,7 @@ def test_verify_report_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert (
         hashlib.sha256(report.read_bytes()).hexdigest()
-        == "70f879384ab89ed4ae6f83978b2619cfbe7f24afe280869154602e4da1feb327"
+        == "b35213ddc1aa30d23fc70c75254aefb77cb6e1c1e8284b171164a2cbf4da9f85"
     )
 
 
