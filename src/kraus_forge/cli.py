@@ -621,6 +621,10 @@ def cmd_figure(cfg: RunConfig) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+# a negative number such as -6.5e-06; argparse's own pattern has no exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reads ``-6.5e-06`` as a negative number.
 
@@ -631,99 +635,139 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
-def _derive_arguments(derive: argparse.ArgumentParser) -> None:
-    derive.add_argument("--channel", choices=("gad", "pd"))
-    derive.add_argument("--scaled", action="store_true", help="use (theta, omega, tau)")
-    derive.add_argument("--physical", action="store_true", help="use (alpha, omega0, cutoff, temperature)")
-    derive.add_argument("--rates", action="store_true", help="use raw rates (x, y, z) or --rate")
-    derive.add_argument("--theta", type=float)
-    derive.add_argument("--omega", type=float)
-    derive.add_argument("--tau", type=float)
-    derive.add_argument("--alpha", type=float)
-    derive.add_argument("--omega0", type=float)
-    derive.add_argument("--cutoff", type=float, help="bath cutoff frequency")
-    derive.add_argument("--temperature", type=float)
-    derive.add_argument("--shift", action="store_true", help="include the dispersive frequency shift in x")
-    derive.add_argument("--x", type=float)
-    derive.add_argument("--y", type=float)
-    derive.add_argument("--z", type=float)
-    derive.add_argument("--rate", type=float, help="pd dephasing rate")
-    derive.add_argument("--t", type=float, help="single evaluation time")
-    derive.add_argument("--t-start", dest="t_start", type=float)
-    derive.add_argument("--t-end", dest="t_end", type=float)
-    derive.add_argument("--steps", type=int)
-    derive.add_argument("--weight-cutoff", dest="weight_cutoff", type=float)
+_COMMON_OPTIONS = (
+    ("--config", {"help": "JSON config file; flags override its values"}),
+    ("--output", {"help": "output path ('-' for stdout)"}),
+)
 
-
-def _verify_arguments(verify: argparse.ArgumentParser) -> None:
-    verify.add_argument("--channel", choices=("gad", "pd", "all"), default="all")
-    verify.add_argument("--tol", type=float, help="override every verification tolerance")
-
-
-def _figure_arguments(figure: argparse.ArgumentParser) -> None:
-    figure.add_argument("--figure", choices=("bloch3d", "volume_rate"))
-    figure.add_argument("--temperatures", help="comma-separated temperatures")
-    figure.add_argument("--times", help="comma-separated times (bloch3d)")
-    figure.add_argument("--grid", help="ellipsoid sampling grid, e.g. 24x12")
-    figure.add_argument("--alpha", type=float)
-    figure.add_argument("--omega0", type=float)
-    figure.add_argument("--cutoff", type=float)
-    figure.add_argument("--t-start", dest="t_start", type=float)
-    figure.add_argument("--t-end", dest="t_end", type=float)
-    figure.add_argument("--steps", type=int)
-
-
+# each subcommand's help line and options, as (flag, add_argument keywords);
+# the argparse tree and the reader both take them from here
 _SUBCOMMANDS = {
-    "derive": ("run the generator -> propagator -> Choi -> Kraus pipeline", _derive_arguments),
-    "verify": ("run the invariant and equivalence suites", _verify_arguments),
-    "figure": ("emit CSV data reproducing the reference figures", _figure_arguments),
+    "derive": ("run the generator -> propagator -> Choi -> Kraus pipeline", (
+        *_COMMON_OPTIONS,
+        ("--channel", {"choices": ("gad", "pd")}),
+        ("--scaled", {"action": "store_true", "help": "use (theta, omega, tau)"}),
+        ("--physical", {"action": "store_true", "help": "use (alpha, omega0, cutoff, temperature)"}),
+        ("--rates", {"action": "store_true", "help": "use raw rates (x, y, z) or --rate"}),
+        ("--theta", {"type": float}),
+        ("--omega", {"type": float}),
+        ("--tau", {"type": float}),
+        ("--alpha", {"type": float}),
+        ("--omega0", {"type": float}),
+        ("--cutoff", {"type": float, "help": "bath cutoff frequency"}),
+        ("--temperature", {"type": float}),
+        ("--shift", {"action": "store_true", "help": "include the dispersive frequency shift in x"}),
+        ("--x", {"type": float}),
+        ("--y", {"type": float}),
+        ("--z", {"type": float}),
+        ("--rate", {"type": float, "help": "pd dephasing rate"}),
+        ("--t", {"type": float, "help": "single evaluation time"}),
+        ("--t-start", {"type": float}),
+        ("--t-end", {"type": float}),
+        ("--steps", {"type": int}),
+        ("--weight-cutoff", {"type": float}),
+    )),
+    "verify": ("run the invariant and equivalence suites", (
+        *_COMMON_OPTIONS,
+        ("--channel", {"choices": ("gad", "pd", "all"), "default": "all"}),
+        ("--tol", {"type": float, "help": "override every verification tolerance"}),
+    )),
+    "figure": ("emit CSV data reproducing the reference figures", (
+        *_COMMON_OPTIONS,
+        ("--figure", {"choices": ("bloch3d", "volume_rate")}),
+        ("--temperatures", {"help": "comma-separated temperatures"}),
+        ("--times", {"help": "comma-separated times (bloch3d)"}),
+        ("--grid", {"help": "ellipsoid sampling grid, e.g. 24x12"}),
+        ("--alpha", {"type": float}),
+        ("--omega0", {"type": float}),
+        ("--cutoff", {"type": float}),
+        ("--t-start", {"type": float}),
+        ("--t-end", {"type": float}),
+        ("--steps", {"type": int}),
+    )),
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--output", help="output path ('-' for stdout)")
-    _SUBCOMMANDS[command][1](parser)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's whole parser; given ``command``, that subcommand's parser alone.
-
-    A subcommand's parser built alone is the one the whole tree hands the
-    words after the subcommand to, so it reads them the same way.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's whole argparse tree, for help, errors and argv the reader declines."""
     # the terminal is measured once here, not by each add_argument's formatter
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
-    if command is not None:
-        parser = _Parser(prog=f"kraus-forge {command}", formatter_class=formatter)
-        _add_options(parser, command)
-        return parser
     parser = _Parser(
         prog="kraus-forge",
         description="Derive, verify, and visualize qubit noise-channel Kraus operators.",
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _SUBCOMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace the whole parser gives ``argv``, built from one subcommand.
+def _dest(flag: str) -> str:
+    # the attribute argparse names after a long flag
+    return flag[2:].replace("-", "_")
 
-    Only the named subcommand's parser reads the words after it. The whole
-    tree reads ``argv`` only where its top level prints help or an error.
+
+def _read_options(command: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``command``'s ``words``, read from the table.
+
+    Only exact long flags are read, as ``--opt value`` or ``--opt=value``;
+    a spaced value that starts with ``-`` must be ``-`` or a negative
+    number. Anything else, a value of ``--``, and a value that fails its
+    type or choices give None, and argparse reads the words instead.
+    """
+    options = dict(_SUBCOMMANDS[command][1])
+    values = {"command": command}
+    for flag, kwargs in options.items():
+        values[_dest(flag)] = kwargs.get("default", False if "action" in kwargs else None)
+    words = iter(words)
+    for word in words:
+        flag, equals, value = word.partition("=")
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        # the table's only action is store_true
+        if "action" in kwargs:
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                value = next(words, None)
+                # argparse takes any other word that starts with "-" for an option
+                if value is None or (
+                    value.startswith("-") and value != "-" and not _NEGATIVE_NUMBER.match(value)
+                ):
+                    return None
+            # argparse versions read "--opt=--" differently
+            if value == "--":
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        values[_dest(flag)] = value
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace the whole tree gives ``argv``, read without it when well formed.
+
+    The argparse tree is built only where the reader declines ``argv``, so
+    help, errors and unusual forms read exactly as argparse reads them.
     """
     if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
+        args = _read_options(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 
@@ -742,6 +786,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except KrausForgeError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a time grid or sampling grid too large to hold
+        print(f"pipeline error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

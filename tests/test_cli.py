@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -377,6 +380,26 @@ def test_pipeline_error_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--channel", "gad", "--rates", "--y", "1", "--z", "0",
+         "--t-start", "0", "--t-end", "1", "--steps", "1000000000000000"),
+        ("figure", "--figure", "bloch3d", "--temperatures", "1", "--times", "0.1",
+         "--grid", "1000000000000000x2"),
+    ],
+)
+def test_oversized_grid_is_a_pipeline_error(capsys, tmp_path, argv):
+    # each first allocation is 8 PB, which fails at once on any 64-bit host
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(out_dir))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("pipeline error: out of memory: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 # SHA-256 of documents written before derive ran its time points as one
 # stacked pipeline; any change of a single byte in these outputs fails here
 GOLDEN_DERIVE = {
@@ -643,6 +666,8 @@ PARSE_CASES = [
      "--output", "out"),
     ("derive", "--config", "run.json", "--output", "-"),
     ("derive", "--channel", "pd", "--rate", "1", "--t", "0.5"),
+    # Python 3.11 reads this as config == [], newer versions differently
+    ("derive", "--config=--"),
 ]
 
 
@@ -663,6 +688,129 @@ def test_dispatch_reads_argv_as_the_whole_tree(capsys, monkeypatch, argv):
     else:
         # help and errors end main as the whole tree ends it
         assert _parse_outcome(capsys, main, argv) == expected
+
+
+def _outcome(parse, argv):
+    """A parse's namespace, NaN read as equal, or its exit code and output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = vars(parse(list(argv)))
+    except SystemExit as exc:
+        return "exit", exc.code, stdout.getvalue(), stderr.getvalue()
+    return "parsed", {key: "nan" if value != value else value for key, value in args.items()}
+
+
+# option values: numbers in the forms the reader must read as argparse does,
+# texts for the untyped options, and values it must leave to argparse
+_NUMBERS = ("0", "7", "-3", "1_0", "2.5", "-.5", "-6.5e-06", "-1E+2", "1e3", "nan", "inf")
+_INTEGERS = _NUMBERS[:4]
+_TEXTS = ("1,2", "24x12", "-", "", " 5", "a=b")
+_ODD_VALUES = ("--", "-x", "-h", "--rate", "-1 ", "-inf", "xyz", "gad", "all")
+# words outside the well-formed set: help, "--", strays, a subcommand, a short flag
+_ODD_WORDS = ("-h", "--help", "--", "-", "stray", "derive", "-x", "--bogus", "--rate=")
+
+
+def _option_words(flag, kwargs):
+    """One option of the table as well-formed argv words, in either form."""
+    if "action" in kwargs:
+        return st.just([flag])
+    if "choices" in kwargs:
+        pool = kwargs["choices"]
+    else:
+        pool = {float: _NUMBERS, int: _INTEGERS}.get(kwargs.get("type"), _NUMBERS + _TEXTS)
+    value = st.sampled_from(pool)
+    return value.map(lambda text: [flag, text]) | value.map(lambda text: [f"{flag}={text}"])
+
+
+def _odd_words(options):
+    """Words the reader must leave to argparse, or read exactly as argparse does."""
+    valued = [flag for flag, kwargs in options if "action" not in kwargs]
+    chosen = [flag for flag, kwargs in options if "choices" in kwargs]
+    switches = [flag for flag, kwargs in options if "action" in kwargs] or ["--scaled"]
+    # numbers are left out of the spaced form, which reads them well formed
+    value = st.sampled_from(_NUMBERS + _TEXTS + _ODD_VALUES)
+    odd_value = st.sampled_from(_TEXTS + _ODD_VALUES)
+
+    def spaced(flags, values):
+        return st.tuples(st.sampled_from(flags), values).map(list)
+
+    def joined(flags, values):
+        return st.tuples(st.sampled_from(flags), values).map(lambda pair: ["=".join(pair)])
+
+    return st.one_of(
+        spaced(valued, odd_value),
+        joined(valued, value),
+        spaced(chosen, value),
+        joined(chosen, value),
+        joined(switches, value),
+        # a valued flag without its value
+        st.sampled_from(valued).map(lambda flag: [flag]),
+        # abbreviations, the whole flag among them
+        st.sampled_from([flag for flag, _ in options]).flatmap(
+            lambda flag: st.integers(3, len(flag)).map(lambda end: [flag[:end]])
+        ),
+        st.sampled_from(_ODD_WORDS).map(lambda word: [word]),
+    )
+
+
+@st.composite
+def _subcommand_argv(draw, odd_groups=0):
+    """A subcommand's well-formed options, repeats among them, with odd words put in."""
+    command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    options = cli._SUBCOMMANDS[command][1]
+    option = st.sampled_from(options).flatmap(lambda entry: _option_words(*entry))
+    groups = draw(st.lists(option, max_size=5))
+    for _ in range(odd_groups):
+        groups.insert(draw(st.integers(0, len(groups))), draw(_odd_words(options)))
+    return [command, *(word for group in groups for word in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_subcommand_argv(odd_groups=1))
+@example(argv=["derive", "--config=--"])
+@example(argv=["figure", "--temperatures", "-1", "--times=-", "--grid", ""])
+def test_reader_reads_argv_as_the_whole_tree(argv):
+    assert _outcome(cli._parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_subcommand_argv())
+@example(argv=["derive", "--omega", "-6.5e-06", "--theta=nan", "--steps", "1_0"])
+def test_reader_takes_well_formed_argv(argv):
+    assert cli._read_options(argv[0], argv[1:]) is not None
+    assert _outcome(cli._parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+_WELL_FORMED_CALLS = [
+    ("derive", "--channel", "gad", "--scaled", "--theta", "1", "--omega=-6.5e-06",
+     "--tau", "0.5"),
+    ("verify", "--channel", "pd", "--tol", "1e-9"),
+    ("figure", "--figure", "volume_rate", "--temperatures", "100", "--t-start", "0",
+     "--t-end", "1", "--steps", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _WELL_FORMED_CALLS, ids=itemgetter(0))
+def test_well_formed_call_builds_no_parser(capsys, monkeypatch, tmp_path, argv):
+    if argv[0] == "figure":
+        argv = (*argv, "--output", str(tmp_path))
+
+    def outcome():
+        result = run_cli(capsys, *argv)
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return result, files
+
+    expected = outcome()
+    assert expected[0][0] == 0
+
+    def build_parser():
+        raise AssertionError("a well-formed call built the argparse tree")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert outcome() == expected
 
 
 def test_negative_exponent_number_is_an_option_value(capsys):
