@@ -209,6 +209,11 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Read the config file and the flags of one subcommand; other keys are ignored."""
+    for flag in ("config", "output"):
+        # argparse 3.11 and 3.12 read "--opt=--" as [], 3.13 as "--"; a file
+        # of that name is still reachable as ./--
+        if getattr(args, flag) in ([], "--"):
+            raise ConfigError(f"--{flag} needs a path")
     cfg_file = _load_config_file(args.config) if args.config else {}
     cfg = RunConfig(output=args.output or cfg_file.get("output"))
     if not isinstance(cfg.output, (str, type(None))):

@@ -8,6 +8,10 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import math
+import operator
+from functools import reduce
+
 import numpy as np
 
 from .errors import ConvergenceFailure, NonHermitianInput, OverflowDetected
@@ -47,15 +51,6 @@ def max_nonhermiticity(matrix: np.ndarray) -> float:
     return float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max())
 
 
-def _magnitude(z: np.ndarray) -> np.ndarray:
-    # equal to the scalar abs() bit for bit, which np.abs on arrays is not
-    return np.hypot(z.real, z.imag)
-
-
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().transpose(0, 2, 1)) / 2.0
-
-
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack (k, n, n), equal to np.linalg.norm bit for bit."""
     count, rows, cols = stack.shape
@@ -71,6 +66,152 @@ HERMITIAN_TOLERANCE = 1e-12
 SWEEP_LIMIT = 60
 
 
+def _rotated(c, ur, ui, xr, xi, yr, yi):
+    # one Jacobi rotation of a pair (x, y) of entries, rows or columns:
+    # (c x + conj(u) y, c y - u x) for u = ur + i ui, written out in real
+    # arithmetic with a fixed parenthesisation, so that floats and arrays
+    # give the same bits
+    return (
+        c * xr + (ur * yr + ui * yi),
+        c * xi + (ur * yi - ui * yr),
+        c * yr - (ur * xr - ui * xi),
+        c * yi - (ur * xi + ui * xr),
+    )
+
+
+def _rotate_columns(xr, xi, p, q, live, c, ur, ui):
+    # rotate columns p and q of the members `live` of a stack laid out (n, n, members)
+    old = [x[:, k][:, live] for k in (p, q) for x in (xr, xi)]
+    for (x, k), new in zip(((xr, p), (xi, p), (xr, q), (xi, q)), _rotated(c, ur, ui, *old)):
+        x[:, k][:, live] = new
+
+
+def _no_convergence() -> ConvergenceFailure:
+    return ConvergenceFailure(f"off-diagonal mass did not settle within {SWEEP_LIMIT} sweeps")
+
+
+def _eig_stack(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the Jacobi iteration on a stack (count, n, n) of Hermitian parts
+    count, n = hr.shape[0], hr.shape[-1]
+    # the working matrices (0, 1) and the eigenvectors (2, 3), in real and
+    # imaginary parts, with the stack axis last so that each entry is one
+    # contiguous run over the members
+    state = np.zeros((4, n, n, count))
+    state[0], state[1] = hr.transpose(1, 2, 0), hi.transpose(1, 2, 0)
+    state[2, range(n), range(n)] = 1.0
+    squares = state[0] * state[0] + state[1] * state[1]
+    scale = np.sqrt(reduce(operator.add, squares.reshape(n * n, count)))
+    rows, cols = np.triu_indices(n, 1)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    # the members still rotating, as indices into the stack and as a working
+    # copy; a member is written back and dropped once it has converged
+    members = np.nonzero(scale > 0.0)[0]
+    work, tol = state[..., members], 1e-15 * scale[members]
+    for sweep in range(SWEEP_LIMIT + 1):
+        off = np.hypot(work[0, rows, cols], work[1, rows, cols]).max(axis=0, initial=0.0)
+        done = off <= tol
+        if done.any():
+            state[..., members[done]] = work[..., done]
+            members, work, tol = members[~done], work[..., ~done], tol[~done]
+        if members.size == 0:
+            break
+        if sweep == SWEEP_LIMIT:
+            raise _no_convergence()
+        ar, ai, vr, vi = work
+        for p, q in pairs:
+            pr, pi = ar[p, q], ai[p, q]
+            mag = np.hypot(pr, pi)
+            # only members with a pivot above 1e-300 rotate; this is all of
+            # them unless some have already cleared this entry
+            live = slice(None)
+            small = mag <= 1e-300
+            if small.any():
+                if small.all():
+                    continue
+                live = np.nonzero(~small)[0]
+                pr, pi, mag = pr[live], pi[live], mag[live]
+            beta = (ar[q, q][live] - ar[p, p][live]) / (2.0 * mag)
+            t = np.where(beta >= 0.0, -1.0, 1.0) / (np.abs(beta) + np.hypot(1.0, beta))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            ur, ui = s * (pr / mag), s * (pi / mag)
+            _rotate_columns(ar, ai, p, q, live, c, ur, ui)
+            # rows p and q are columns of the transpose, rotated by conj(u)
+            _rotate_columns(ar.transpose(1, 0, 2), ai.transpose(1, 0, 2), p, q, live, c, ur, -ui)
+            _rotate_columns(vr, vi, p, q, live, c, ur, ui)
+        work[0] = (ar + ar.transpose(1, 0, 2)) / 2.0
+        work[1] = (ai - ai.transpose(1, 0, 2)) / 2.0
+
+    values = state[0, range(n), range(n)].T
+    order = np.argsort(-values, axis=1, kind="stable")
+    stack = np.arange(count)[:, None]
+    values = values[stack, order]
+    vr, vi = (v.transpose(2, 0, 1)[stack, :, order].transpose(0, 2, 1) for v in state[2:])
+    # rephase each column by conj(f)/|f| for its first largest entry f
+    top = stack, np.argmax(np.hypot(vr, vi), axis=1), np.arange(n)
+    pr, pi = vr[top], vi[top]
+    mag = np.hypot(pr, pi)
+    fr, fi = (pr / mag)[:, None, :], (-pi / mag)[:, None, :]
+    vectors = np.empty(vr.shape, dtype=complex)
+    vectors.real, vectors.imag = vr * fr - vi * fi, vr * fi + vi * fr
+    return values, vectors
+
+
+def _eig_one(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _eig_stack's operations, in the same order, on one (n, n) member held as
+    # lists of rows of floats; abs(complex(x, y)) is libm's hypot, as np.hypot
+    n = hr.shape[0]
+    ar, ai = hr.tolist(), hi.tolist()
+    vr, vi = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
+    for k in range(n):
+        vr[k][k] = 1.0
+    squares = [x * x + y * y for rr, ri in zip(ar, ai) for x, y in zip(rr, ri)]
+    scale = math.sqrt(reduce(operator.add, squares))
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    for sweep in range(SWEEP_LIMIT + 1 if scale > 0.0 else 0):
+        off = max((abs(complex(ar[p][q], ai[p][q])) for p, q in pairs), default=0.0)
+        if off <= 1e-15 * scale:
+            break
+        if sweep == SWEEP_LIMIT:
+            raise _no_convergence()
+        for p, q in pairs:
+            pr, pi = ar[p][q], ai[p][q]
+            mag = abs(complex(pr, pi))
+            if mag <= 1e-300:
+                continue
+            beta = (ar[q][q] - ar[p][p]) / (2.0 * mag)
+            t = (-1.0 if beta >= 0.0 else 1.0) / (abs(beta) + abs(complex(1.0, beta)))
+            c = 1.0 / abs(complex(1.0, t))
+            s = t * c
+            ur, ui = s * (pr / mag), s * (pi / mag)
+            for xr, xi in ((ar, ai), (vr, vi)):
+                for r, i in zip(xr, xi):
+                    r[p], i[p], r[q], i[q] = _rotated(c, ur, ui, r[p], i[p], r[q], i[q])
+            # rows p and q, rotated by conj(u)
+            rp, ip, rq, iq = ar[p], ai[p], ar[q], ai[q]
+            for k in range(n):
+                rp[k], ip[k], rq[k], iq[k] = _rotated(c, ur, -ui, rp[k], ip[k], rq[k], iq[k])
+        ar, ai = (
+            [[(x + y) / 2.0 for x, y in zip(row, column)] for row, column in zip(ar, zip(*ar))],
+            [[(x - y) / 2.0 for x, y in zip(row, column)] for row, column in zip(ai, zip(*ai))],
+        )
+
+    values = [ar[j][j] for j in range(n)]
+    order = sorted(range(n), key=lambda j: -values[j])
+    # rephase each column by conj(f)/|f| for its first largest entry f
+    factors = []
+    for j in order:
+        mags = [abs(complex(r[j], i[j])) for r, i in zip(vr, vi)]
+        top = mags.index(max(mags))
+        factors.append((j, vr[top][j] / mags[top], -vi[top][j] / mags[top]))
+    # the vectors in row-major order, real and imaginary parts interleaved
+    out = []
+    for r, i in zip(vr, vi):
+        for j, fr, fi in factors:
+            out += (r[j] * fr - i[j] * fi, r[j] * fi + i[j] * fr)
+    return np.array([values[j] for j in order]), np.array(out).view(complex).reshape(n, n)
+
+
 def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of small Hermitian matrices by cyclic Jacobi rotations.
 
@@ -79,12 +220,16 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues sorted in descending order and eigenvectors as the matching
     columns of a unitary matrix. Each eigenvector is rephased so that its
     largest-magnitude component is real and positive (ties broken by the
-    lowest index); this pins the output across runs and platforms.
+    lowest index).
 
     The iteration runs on the whole stack at once, but every member gets the
     rotations, sweep count and roundoff it would get alone: a member leaves
     the iteration once its off-diagonal mass is below 1e-15 of its Frobenius
-    norm, and a pivot below 1e-300 in magnitude is skipped.
+    norm, and a pivot below 1e-300 in magnitude is skipped. A one-member
+    call runs the same operations on Python floats, which is faster for a
+    single small matrix and gives the same bits. Both use only real ``+ - *
+    /``, ``sqrt`` and ``hypot``, so the result does not depend on the BLAS
+    kernel or on numpy's SIMD dispatch.
 
     Raises NonHermitianInput if a member has a non-finite entry or deviates
     from Hermiticity by more than HERMITIAN_TOLERANCE, and ConvergenceFailure
@@ -103,75 +248,9 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonHermitianInput(
             f"max |M - M^dag| = {deviation:.3e} exceeds {HERMITIAN_TOLERANCE:.1e}"
         )
-    a = _hermitian_part(a)
-    count, n = a.shape[0], a.shape[1]
-    identity = np.repeat(np.eye(n, dtype=complex)[None], count, axis=0)
-    vectors = identity.copy()
-
-    # the Frobenius norm sets the convergence threshold
-    scale = frobenius_norms(a)
-    off_tol = 1e-15 * scale
-    # the (p, q) pairs of one cyclic sweep, in row-major order
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    # the members still rotating, as indices into the stack and as working
-    # copies; a member is written back and dropped once it has converged
-    members = np.nonzero(scale > 0.0)[0]
-    work, work_vectors, work_tol = a[members], vectors[members], off_tol[members]
-    for _ in range(SWEEP_LIMIT):
-        done = _magnitude(work[:, rows, cols]).max(axis=1, initial=0.0) <= work_tol
-        if done.any():
-            a[members[done]] = work[done]
-            vectors[members[done]] = work_vectors[done]
-            rest = ~done
-            members, work, work_vectors, work_tol = (
-                members[rest], work[rest], work_vectors[rest], work_tol[rest]
-            )
-        if members.size == 0:
-            break
-        for p, q in pairs:
-            pivot = work[:, p, q]
-            mag = _magnitude(pivot)
-            # only members with a pivot above 1e-300 rotate; this is all of
-            # them unless some have already cleared this entry
-            live = None
-            small = mag <= 1e-300
-            if small.any():
-                if small.all():
-                    continue
-                live = ~small
-                pivot, mag = pivot[live], mag[live]
-            sub = work if live is None else work[live]
-            phase = pivot / mag
-            beta = (sub[:, q, q].real - sub[:, p, p].real) / (2.0 * mag)
-            t = np.where(beta >= 0.0, -1.0, 1.0) / (np.abs(beta) + np.hypot(1.0, beta))
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            rot = identity[: mag.size].copy()
-            rot[:, p, p] = c
-            rot[:, q, q] = c
-            rot[:, p, q] = -s * phase
-            rot[:, q, p] = s * np.conj(phase)
-            sub = rot.conj().transpose(0, 2, 1) @ sub @ rot
-            if live is None:
-                work = sub
-                work_vectors = work_vectors @ rot
-            else:
-                work[live] = sub
-                work_vectors[live] = work_vectors[live] @ rot
-        work = _hermitian_part(work)
-    else:
-        raise ConvergenceFailure(
-            f"off-diagonal mass did not settle within {SWEEP_LIMIT} sweeps"
-        )
-
-    values = a.diagonal(axis1=1, axis2=2).real
-    order = np.argsort(-values, axis=1, kind="stable")
-    stack = np.arange(count)[:, None]
-    values = values[stack, order]
-    vectors = vectors[stack, :, order].transpose(0, 2, 1)
-    pivots = vectors[stack, np.argmax(_magnitude(vectors), axis=1), np.arange(n)]
-    vectors *= (np.conj(pivots) / _magnitude(pivots))[:, None, :]
+    hr = (a.real + a.real.transpose(0, 2, 1)) / 2.0
+    hi = (a.imag - a.imag.transpose(0, 2, 1)) / 2.0
+    values, vectors = _eig_one(hr[0], hi[0]) if len(a) == 1 else _eig_stack(hr, hi)
     return values.reshape(shape[:-1]), vectors.reshape(shape)
 
 

@@ -197,6 +197,30 @@ def test_derive_bad_config_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--output", "--config"])
+def test_double_dash_path_is_config_error(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "derive", "--channel", "pd", "--rate", "1", "--t", "0.5", f"{flag}=--"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {flag} needs a path\n"
+    assert os.listdir(tmp_path) == []
+    # argparse reads "--opt=--" as [] or as "--", by Python version
+    for value in ([], "--"):
+        args = cli._parse_args(["derive", "--channel", "pd", "--rate", "1", "--t", "0.5"])
+        setattr(args, flag[2:], value)
+        with pytest.raises(cli.ConfigError, match="needs a path"):
+            cli._config_from_args(args)
+    # a file named -- is reachable as ./--
+    code, out, _ = run_cli(
+        capsys, "derive", "--channel", "pd", "--rate", "1", "--t", "0.5", "--output=./--"
+    )
+    assert code == 0 and out == ""
+    assert os.listdir(tmp_path) == ["--"]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

@@ -1,4 +1,11 @@
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +13,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kraus_forge.errors import NonHermitianInput, OverflowDetected
+from kraus_forge import linalg
+from kraus_forge.errors import ConvergenceFailure, NonHermitianInput, OverflowDetected
+from kraus_forge.gad import GadScaled, gad_F_closed
+from kraus_forge.kraus import choi_from_propagator
 from kraus_forge.linalg import (
     SIGMA_I,
     SIGMA_X,
@@ -208,13 +218,12 @@ def test_matrix_exp_overflow_detection():
 
 
 def _same_bits(first, second):
-    # equal values and equal signs of zero, in the real and imaginary parts
+    # equal shapes, dtypes and bytes: equal values and equal signs of zero
     first, second = np.asarray(first), np.asarray(second)
     return (
         first.shape == second.shape
-        and np.array_equal(first, second)
-        and np.array_equal(np.signbit(first.real), np.signbit(second.real))
-        and np.array_equal(np.signbit(np.imag(first)), np.signbit(np.imag(second)))
+        and first.dtype == second.dtype
+        and first.tobytes() == second.tobytes()
     )
 
 
@@ -223,11 +232,21 @@ _ENTRY = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infin
 
 @st.composite
 def _hermitian_member(draw):
-    kind = draw(st.sampled_from(("general", "zero", "diagonal", "degenerate")))
+    kind = draw(
+        st.sampled_from(("general", "zero", "diagonal", "degenerate", "gad", "subnormal"))
+    )
     if kind == "zero":
         return np.zeros((4, 4), dtype=complex)
     if kind == "diagonal":
         return np.diag(draw(st.lists(_ENTRY, min_size=4, max_size=4))).astype(complex)
+    if kind == "gad":
+        # an X-shaped Choi matrix: two 2x2 blocks, rotated in one sweep
+        scaled = GadScaled(
+            draw(st.floats(min_value=0.0, max_value=900.0)),
+            draw(st.floats(min_value=-2.0, max_value=0.0, exclude_max=True)),
+            draw(st.floats(min_value=1e-9, max_value=400.0)),
+        )
+        return choi_from_propagator(gad_F_closed(scaled))
     re = np.array(draw(st.lists(_ENTRY, min_size=16, max_size=16))).reshape(4, 4)
     im = np.array(draw(st.lists(_ENTRY, min_size=16, max_size=16))).reshape(4, 4)
     m = re + 1j * im
@@ -238,56 +257,84 @@ def _hermitian_member(draw):
         level = draw(_ENTRY)
         m = unitary @ np.diag([level, level, -level, -level]) @ unitary.conj().T
         m = (m + m.conj().T) / 2
+    if kind == "subnormal":
+        # subnormal entries beside ordinary ones (pivots under the 1e-300
+        # cutoff), or a whole matrix of them (a norm whose square underflows)
+        tiny = np.array(draw(st.lists(st.booleans(), min_size=16, max_size=16))).reshape(4, 4)
+        m = np.where(tiny | tiny.T, m * 1e-310, m)
     return m
 
 
+def _times(w, y):
+    # w y for complex w and y held as (real, imaginary) pairs
+    return w[0] * y[0] - w[1] * y[1], w[0] * y[1] + w[1] * y[0]
+
+
+def _plus(c, x, w, y):
+    # c x + w y for a real c
+    wy = _times(w, y)
+    return c * x[0] + wy[0], c * x[1] + wy[1]
+
+
+def _minus(c, x, w, y):
+    # c x - w y for a real c
+    wy = _times(w, y)
+    return c * x[0] - wy[0], c * x[1] - wy[1]
+
+
 def _reference_eig(matrix):
-    # the one-matrix cyclic Jacobi that the stacked solver replaced, kept
-    # here as the reference its results must match bit for bit
+    # one matrix at a time, the cyclic Jacobi iteration with the rotation in
+    # real arithmetic that the solver uses; its results must match this
+    # reference bit for bit
     a = np.array(matrix, dtype=complex)
-    a = (a + a.conj().T) / 2.0
-    n = a.shape[0]
-    vectors = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(a))
-    if scale > 0.0:
-        for _ in range(60):
-            off = max(abs(a[p, q]) for p in range(n - 1) for q in range(p + 1, n))
-            if off <= 1e-15 * scale:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    mag = abs(a[p, q])
-                    if mag <= 1e-300:
-                        continue
-                    phase = a[p, q] / mag
-                    beta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                    sgn = 1.0 if beta >= 0.0 else -1.0
-                    t = -sgn / (abs(beta) + np.hypot(1.0, beta))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    rot = np.eye(n, dtype=complex)
-                    rot[p, p] = c
-                    rot[q, q] = c
-                    rot[p, q] = -s * phase
-                    rot[q, p] = s * np.conj(phase)
-                    a = rot.conj().T @ a @ rot
-                    vectors = vectors @ rot
-            a = (a + a.conj().T) / 2.0
-        else:
-            raise AssertionError("reference Jacobi did not converge")
-    values = a.diagonal().real.copy()
+    ar, ai = (a.real + a.real.T) / 2.0, (a.imag - a.imag.T) / 2.0
+    n = len(ar)
+    vr, vi = np.eye(n), np.zeros((n, n))
+    total = 0.0
+    for x, y in zip(ar.ravel().tolist(), ai.ravel().tolist()):
+        total = total + (x * x + y * y)
+    scale = math.sqrt(total)
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    for sweep in range(61 if scale > 0.0 else 0):
+        off = max(float(np.hypot(ar[p, q], ai[p, q])) for p, q in pairs)
+        if off <= 1e-15 * scale:
+            break
+        assert sweep < 60, "reference Jacobi did not converge"
+        for p, q in pairs:
+            mag = np.hypot(ar[p, q], ai[p, q])
+            if mag <= 1e-300:
+                continue
+            phase = ar[p, q] / mag, ai[p, q] / mag
+            beta = (ar[q, q] - ar[p, p]) / (2.0 * mag)
+            t = (-1.0 if beta >= 0.0 else 1.0) / (abs(beta) + np.hypot(1.0, beta))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            u, conj_u = (s * phase[0], s * phase[1]), (s * phase[0], -(s * phase[1]))
+            # columns, then rows, of A; the columns of V as those of A
+            for xr, xi in ((ar, ai), (vr, vi)):
+                xp, xq = (xr[:, p].copy(), xi[:, p].copy()), (xr[:, q].copy(), xi[:, q].copy())
+                (xr[:, p], xi[:, p]), (xr[:, q], xi[:, q]) = (
+                    _plus(c, xp, conj_u, xq), _minus(c, xq, u, xp)
+                )
+            bp, bq = (ar[p].copy(), ai[p].copy()), (ar[q].copy(), ai[q].copy())
+            (ar[p], ai[p]), (ar[q], ai[q]) = _plus(c, bp, u, bq), _minus(c, bq, conj_u, bp)
+        ar, ai = (ar + ar.T) / 2.0, (ai - ai.T) / 2.0
+    values = ar.diagonal().copy()
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for i in range(n):
-        pivot = vectors[int(np.argmax(np.abs(vectors[:, i]))), i]
-        vectors[:, i] *= np.conj(pivot) / abs(pivot)
+    values, vr, vi = values[order], vr[:, order], vi[:, order]
+    vectors = np.empty((n, n), dtype=complex)
+    for k in range(n):
+        top = int(np.argmax(np.hypot(vr[:, k], vi[:, k])))
+        mag = np.hypot(vr[top, k], vi[top, k])
+        phase = vr[top, k] / mag, -vi[top, k] / mag
+        vectors.real[:, k], vectors.imag[:, k] = _times(phase, (vr[:, k], vi[:, k]))
     return values, vectors
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(members=st.lists(_hermitian_member(), min_size=1, max_size=6))
 def test_eig_stack_equals_loop(members):
+    # each member alone takes the one-member path; the stack takes the stacked one
     stack = np.array(members)
     values, vectors = hermitian_eig(stack)
     assert values.shape == (len(members), 4) and vectors.shape == stack.shape
@@ -295,6 +342,23 @@ def test_eig_stack_equals_loop(members):
         for alone_values, alone_vectors in (hermitian_eig(member), _reference_eig(member)):
             assert _same_bits(values[k], alone_values)
             assert _same_bits(vectors[k], alone_vectors)
+
+
+def test_convergence_failure(monkeypatch):
+    general = random_hermitian(np.random.default_rng(13))
+    x_shaped = choi_from_propagator(gad_F_closed(GadScaled(1.5, -0.6, 0.7)))
+    expected = hermitian_eig(x_shaped)
+    monkeypatch.setattr(linalg, "SWEEP_LIMIT", 1)
+    # a general matrix needs several sweeps, alone and inside a stack
+    with pytest.raises(ConvergenceFailure):
+        hermitian_eig(general)
+    with pytest.raises(ConvergenceFailure):
+        hermitian_eig(_with_member(general))
+    # an X-shaped Choi matrix is diagonal after one sweep
+    alone = hermitian_eig(x_shaped)
+    stacked = hermitian_eig(np.array([x_shaped, np.diag([1.0, 0.5, 0.25, 0.0])]))
+    for got in (alone, (stacked[0][0], stacked[1][0])):
+        assert _same_bits(got[0], expected[0]) and _same_bits(got[1], expected[1])
 
 
 _GENERATOR = np.array(
@@ -357,3 +421,78 @@ def test_stack_with_one_bad_member_raises_its_error(function, bad, error):
             function(bad)
         with pytest.raises(error):
             function(_with_member(bad))
+
+
+# hermitian_eig on a fixed stack and on single members, printed as one digest
+# with the dispatched CPU features numpy enabled; the input is built from
+# integers by exact elementwise arithmetic, with no BLAS call
+_DIGEST_SCRIPT = """
+import hashlib, json
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from kraus_forge.linalg import hermitian_eig
+
+count, n = 200, 4
+codes = np.arange(2 * count * n * n, dtype=np.int64) * 2654435761 % 2**32
+re, im = (codes / 2.0**32 - 0.5).reshape(2, count, n, n)
+stack = np.empty((count, n, n), dtype=complex)
+stack.real = re + re.transpose(0, 2, 1)
+stack.imag = im - im.transpose(0, 2, 1)
+digest = hashlib.sha256()
+for values, vectors in [hermitian_eig(stack)] + [hermitian_eig(m) for m in stack[:20]]:
+    digest.update(values.tobytes() + vectors.tobytes())
+enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+print(json.dumps({"digest": digest.hexdigest(), "enabled": enabled}))
+"""
+
+
+def _cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return __cpu_dispatch__, __cpu_features__
+
+
+def _eig_digest(**variables):
+    # a fresh interpreter, so that numpy and OpenBLAS read the variables at import
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
+    }
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.update(variables)
+    run = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(run.stdout)
+
+
+@pytest.fixture(scope="module")
+def default_eig_digest():
+    return _eig_digest()["digest"]
+
+
+@pytest.mark.parametrize("variant", ["Haswell", "Prescott", "no_dispatched_features"])
+def test_eig_bits_do_not_depend_on_blas_or_simd(default_eig_digest, variant):
+    dispatch, features = _cpu_features()
+    machine = platform.machine()
+    if variant == "no_dispatched_features":
+        disabled = [f for f in dispatch if features.get(f)]
+        if not disabled:
+            pytest.skip("numpy dispatches no feature beyond its baseline on this CPU")
+        run = _eig_digest(NPY_DISABLE_CPU_FEATURES=",".join(disabled))
+        assert not set(disabled) & set(run["enabled"])
+    else:
+        if machine.lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"OPENBLAS_CORETYPE names x86-64 kernels; this host is {machine}")
+        if variant == "Haswell" and not (features.get("AVX2") and features.get("FMA3")):
+            pytest.skip("the Haswell kernel needs AVX2 and FMA3, which this CPU lacks")
+        run = _eig_digest(OPENBLAS_CORETYPE=variant)
+    assert run["digest"] == default_eig_digest
