@@ -430,18 +430,18 @@ GOLDEN_DERIVE = {
     "gad_rates_sweep_1000": (
         ("derive", "--channel", "gad", "--rates", "--x=0.7", "--y=2.5", "--z=0.4",
          "--t-start", "0", "--t-end", "2", "--steps", "1000"),
-        "86cc8dbb1ad897bfb6d7376a727a6bfb55ced554a4b9e23f25a0d081a2364851",
+        "e575facad146f887ba722cc1e3a80f539af5189e95f1e4af36b34bcba88fe6d4",
     ),
     # omega = -2: the weight cutoff drops two or three operators per point
     "gad_zero_temperature_sweep": (
         ("derive", "--channel", "gad", "--rates", "--x=0.3", "--y=2", "--z=0",
          "--t-start", "0", "--t-end", "2", "--steps", "50"),
-        "96e54853802fca48ae8eb1972de67d7e4af852e58699a56cf2eb2a49ebd30e32",
+        "d6f246ee3476ddf53ad5e7e9be2b11bc5382c01e93f87d9fbb22c653110dc63b",
     ),
     "gad_scaled_tau_sweep": (
         ("derive", "--channel", "gad", "--scaled", "--theta=1.5", "--omega=-0.6",
          "--t-start", "0", "--t-end", "3", "--steps", "40"),
-        "5b78ad791488afa548f23a20ea57385af835a898593cbcdb59196193d501a492",
+        "1f66ea955b9f8c894c79b4e75fd3ce5d7e0ee9b0856c451997ab3088e1a22a69",
     ),
     "pd_physical_sweep": (
         ("derive", "--channel", "pd", "--physical", "--alpha=0.02", "--omega0=10",
@@ -452,7 +452,7 @@ GOLDEN_DERIVE = {
     "gad_physical_shift_point": (
         ("derive", "--channel", "gad", "--physical", "--alpha=0.02", "--omega0=10",
          "--cutoff=15", "--temperature=100", "--shift", "--t=0.3"),
-        "ef7a8ddb615f8aa5e867312de4dfa3cabd6b46050f228a08031ed65fd6aba6f3",
+        "5807b2400cafbcb99815929294d9fed75833af5e0c7d840e08789bb284bb2fd1",
     ),
 }
 
@@ -471,7 +471,7 @@ def test_verify_report_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert (
         hashlib.sha256(report.read_bytes()).hexdigest()
-        == "b35213ddc1aa30d23fc70c75254aefb77cb6e1c1e8284b171164a2cbf4da9f85"
+        == "f6f6b4a5dbea767082c2a7f145e9c6ca246b008e7400eaeb39c0448738ef2c0c"
     )
 
 
