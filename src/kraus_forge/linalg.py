@@ -99,6 +99,8 @@ def _eig_stack(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state = np.zeros((4, n, n, count))
     state[0], state[1] = hr.transpose(1, 2, 0), hi.transpose(1, 2, 0)
     state[2, range(n), range(n)] = 1.0
+    # the Frobenius norm, summed entry by entry in row-major order as the
+    # one-member path sums it (np.sum and BLAS dots use other orders)
     squares = state[0] * state[0] + state[1] * state[1]
     scale = np.sqrt(reduce(operator.add, squares.reshape(n * n, count)))
     rows, cols = np.triu_indices(n, 1)
@@ -165,6 +167,7 @@ def _eig_one(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vr, vi = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
     for k in range(n):
         vr[k][k] = 1.0
+    # reduce, not sum(): sum() of floats is compensated from Python 3.12 on
     squares = [x * x + y * y for rr, ri in zip(ar, ai) for x, y in zip(rr, ri)]
     scale = math.sqrt(reduce(operator.add, squares))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
