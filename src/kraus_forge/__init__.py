@@ -13,7 +13,6 @@ from .bloch import (
 )
 from .errors import (
     ConvergenceFailure,
-    DivergentLimit,
     IncompleteKrausSet,
     InvalidState,
     KrausForgeError,

@@ -14,10 +14,7 @@ import numpy as np
 
 from .errors import IncompleteKrausSet
 from .gad import GadRates, GadScaled
-from .kraus import KrausSet
-from .linalg import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z
-
-_PAULI_VECTOR = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+from .kraus import KrausSet, _operator_propagators, completeness_residuals, operator_stack
 
 
 @dataclass(frozen=True)
@@ -44,27 +41,18 @@ class AffineBlochMap:
 def bloch_map(kset: KrausSet) -> AffineBlochMap:
     """Extract the affine Bloch action of a Kraus set.
 
-    M_ij = tr(s_i phi(s_j)) / 2 and b_i = tr(s_i phi(I)) / 2. Requires the
-    set to be complete within 1e-8.
+    M and b are the blocks F[1:, 1:] and F[1:, 0] of the set's propagator F
+    in the Hermitian basis, the blocks ``figure`` reads off the closed form.
+    Requires the set to be complete within 1e-8.
     """
-    residual = kset.completeness_residual()
+    operators = operator_stack([kset])
+    residual = completeness_residuals(operators)[0]
     if residual > 1e-8:
         raise IncompleteKrausSet(
             f"completeness residual {residual:.3e} exceeds 1e-8"
         )
-
-    def channel(op: np.ndarray) -> np.ndarray:
-        return sum(e @ op @ e.conj().T for e in kset.operators)
-
-    # the four images phi(I), phi(s_x), phi(s_y), phi(s_z), each computed once
-    identity_image, *images = (channel(op) for op in (SIGMA_I, *_PAULI_VECTOR))
-    linear = np.empty((3, 3))
-    shift = np.empty(3)
-    for i in range(3):
-        shift[i] = 0.5 * np.trace(_PAULI_VECTOR[i] @ identity_image).real
-        for j in range(3):
-            linear[i, j] = 0.5 * np.trace(_PAULI_VECTOR[i] @ images[j]).real
-    return AffineBlochMap(linear, shift)
+    f = _operator_propagators(operators)[0]
+    return AffineBlochMap(f[1:, 1:].real, f[1:, 0].real)
 
 
 def spherical_grid(n_u: int, n_v: int) -> np.ndarray:

@@ -47,7 +47,3 @@ class SingularTime(KrausForgeError):
 
 class QuadratureFailure(KrausForgeError):
     """Principal-value quadrature missed the requested accuracy."""
-
-
-class DivergentLimit(KrausForgeError):
-    """The low-frequency limit defining the dephasing rate does not converge."""

@@ -144,16 +144,15 @@ class ReferenceGadParams:
 class BathSpectrum:
     """Bosonic bath description: coupling, qubit splitting, cutoff, temperature.
 
-    Only the ohmic family with exponential cutoff, J(w) = alpha w e^(-w/wc),
-    is implemented behind the ``model`` tag. Temperature uses the same
-    natural units as the frequencies.
+    The spectral density is ohmic with an exponential cutoff,
+    J(w) = alpha w e^(-w/wc). Temperature uses the same natural units as the
+    frequencies.
     """
 
     alpha: float
     omega0: float
     omega_c: float
     temperature: float
-    model: str = "ohmic"
 
     def __post_init__(self) -> None:
         if self.alpha < 0.0:
@@ -162,12 +161,10 @@ class BathSpectrum:
             raise ValueError("omega0 and omega_c must be > 0")
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.model != "ohmic":
-            raise ValueError(f"unknown spectral-density model {self.model!r}")
 
 
 def spectral_density(bath: BathSpectrum, omega):
-    """J(omega) for the bath's spectral-density model."""
+    """Ohmic J(omega) = alpha omega e^(-omega/omega_c) of the bath."""
     w = np.asarray(omega, dtype=float)
     return bath.alpha * w * np.exp(-w / bath.omega_c)
 
@@ -177,10 +174,11 @@ def thermal_occupation(omega, temperature: float):
     w = np.asarray(omega, dtype=float)
     if temperature <= 0.0:
         return np.zeros_like(w) if w.ndim else 0.0
-    ratio = np.minimum(w / temperature, 700.0)
-    with np.errstate(divide="ignore"):
-        occ = 1.0 / np.expm1(ratio)
-    occ = np.where(w / temperature > 700.0, 0.0, occ)
+    # a tiny temperature overflows the ratio to inf, which the cut sends to 0
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = w / temperature
+        occ = 1.0 / np.expm1(np.minimum(ratio, 700.0))
+    occ = np.where(ratio > 700.0, 0.0, occ)
     return occ if w.ndim else float(occ)
 
 

@@ -215,6 +215,12 @@ def _operator_choi(operators: np.ndarray) -> np.ndarray:
     return coeffs @ coeffs.conj().transpose(0, 2, 1)
 
 
+def _operator_propagators(operators: np.ndarray) -> np.ndarray:
+    # propagators (k, 4, 4) of a zero-padded operator stack (k, m, 2, 2): the
+    # fold of kraus_stack undone, F_kl = sum_ij S_ij T[k, i, l, j]
+    return np.einsum("bij,kilj->bkl", _operator_choi(operators), _TRACE_TENSOR)
+
+
 def kraus_to_choi(kset: KrausSet) -> np.ndarray:
     """Choi matrix of the channel a Kraus set implements."""
     return _operator_choi(operator_stack([kset]))[0]

@@ -65,6 +65,10 @@ HERMITIAN_TOLERANCE = 1e-12
 #: cyclic Jacobi sweeps after which hermitian_eig gives up
 SWEEP_LIMIT = 60
 
+# a member whose Frobenius norm lies outside this range is first scaled by a
+# power of two, so that the squares of its entries neither underflow nor overflow
+_NORM_RANGE = (2.0**-500, 2.0**500)
+
 
 def _rotated(c, ur, ui, xr, xi, yr, yi):
     # one Jacobi rotation of a pair (x, y) of entries, rows or columns:
@@ -90,6 +94,12 @@ def _no_convergence() -> ConvergenceFailure:
     return ConvergenceFailure(f"off-diagonal mass did not settle within {SWEEP_LIMIT} sweeps")
 
 
+def _exponents(hr: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # per member, the e with its largest entry in [2^(e-1), 2^e), and 0 for a
+    # zero member; np.ldexp by -e is exact even where 2.0**-e would overflow
+    return np.frexp(np.maximum(np.abs(hr), np.abs(hi)).max(axis=(-2, -1)))[1]
+
+
 def _eig_stack(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the Jacobi iteration on a stack (count, n, n) of Hermitian parts
     count, n = hr.shape[0], hr.shape[-1]
@@ -101,8 +111,16 @@ def _eig_stack(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state[2, range(n), range(n)] = 1.0
     # the Frobenius norm, summed entry by entry in row-major order as the
     # one-member path sums it (np.sum and BLAS dots use other orders)
-    squares = state[0] * state[0] + state[1] * state[1]
+    with np.errstate(over="ignore"):
+        squares = state[0] * state[0] + state[1] * state[1]
     scale = np.sqrt(reduce(operator.add, squares.reshape(n * n, count)))
+    low, high = _NORM_RANGE
+    outside = (scale < low) | (scale > high)
+    if outside.any():
+        shift = np.where(outside, _exponents(hr, hi), 0)
+        if shift.any():
+            values, vectors = _eig_stack(*np.ldexp((hr, hi), -shift[:, None, None]))
+            return np.ldexp(values, shift[:, None]), vectors
     rows, cols = np.triu_indices(n, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     # the members still rotating, as indices into the stack and as a working
@@ -170,6 +188,11 @@ def _eig_one(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # reduce, not sum(): sum() of floats is compensated from Python 3.12 on
     squares = [x * x + y * y for rr, ri in zip(ar, ai) for x, y in zip(rr, ri)]
     scale = math.sqrt(reduce(operator.add, squares))
+    if not _NORM_RANGE[0] <= scale <= _NORM_RANGE[1]:
+        shift = _exponents(hr, hi)
+        if shift:
+            values, vectors = _eig_one(*np.ldexp((hr, hi), -shift))
+            return np.ldexp(values, shift), vectors
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for sweep in range(SWEEP_LIMIT + 1 if scale > 0.0 else 0):
         off = max((abs(complex(ar[p][q], ai[p][q])) for p, q in pairs), default=0.0)
@@ -228,11 +251,15 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The iteration runs on the whole stack at once, but every member gets the
     rotations, sweep count and roundoff it would get alone: a member leaves
     the iteration once its off-diagonal mass is below 1e-15 of its Frobenius
-    norm, and a pivot below 1e-300 in magnitude is skipped. A one-member
-    call runs the same operations on Python floats, which is faster for a
-    single small matrix and gives the same bits. Both use only real ``+ - *
-    /``, ``sqrt`` and ``hypot``, so the result does not depend on the BLAS
-    kernel or on numpy's SIMD dispatch.
+    norm, and a pivot below 1e-300 in magnitude is skipped. A member whose
+    norm lies outside [2^-500, 2^500] is iterated scaled by the power of two
+    that brings its largest entry into [1/2, 1), and its eigenvalues are
+    scaled back, so tiny, subnormal and huge members keep their spectrum.
+    A one-member call runs the same operations on Python floats, which is
+    faster for a single small matrix and gives the same bits. Both use only
+    real ``+ - * /``, ``sqrt``, ``hypot`` and exact power-of-two scaling, so
+    the result does not depend on the BLAS kernel or on numpy's SIMD
+    dispatch.
 
     Raises NonHermitianInput if a member has a non-finite entry or deviates
     from Hermiticity by more than HERMITIAN_TOLERANCE, and ConvergenceFailure

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentLimit, NegativeTime
-from .gad import BathSpectrum, spectral_density, thermal_occupation
+from .errors import NegativeTime
+from .gad import BathSpectrum
 from .kraus import KrausSet
 from .lindblad import LindbladGenerator
 from .linalg import SIGMA_I, SIGMA_Z
@@ -86,35 +86,12 @@ def pd_standard_kraus(weight: float) -> KrausSet:
 
 
 def pd_rate_from_physics(bath: BathSpectrum) -> PdParams:
-    """Dephasing rate 2 pi lim_{w -> 0} J(w) n(w) by numeric extrapolation.
+    """Dephasing rate 2 pi lim_{w -> 0} J(w) n(w), which is 2 pi alpha T.
 
-    For the ohmic model the product tends to 2 pi alpha T. The limit is
-    probed at three geometrically spaced frequencies and Richardson-
-    extrapolated; if the sequence does not settle, DivergentLimit is raised.
+    The ohmic J(w) = alpha w e^(-w/wc) and n(w) -> T/w make the limit exact.
     """
-    temperature = bath.temperature
-    if temperature <= 0.0:
-        return PdParams(0.0)
-    scale = min(temperature, bath.omega_c)
-    samples = []
-    for factor in (1e-3, 1e-4, 1e-5):
-        w = factor * scale
-        samples.append(
-            2.0
-            * math.pi
-            * float(spectral_density(bath, w))
-            * float(thermal_occupation(w, temperature))
-        )
-    g0, g1, g2 = samples
-    first = (10.0 * g1 - g0) / 9.0
-    second = (10.0 * g2 - g1) / 9.0
-    extrapolated = (100.0 * second - first) / 99.0
-    tol = max(1e-6 * abs(extrapolated), 1e-300)
-    if abs(second - first) > max(0.5 * abs(first - g0), tol):
-        raise DivergentLimit(
-            "low-frequency product J(w) n(w) does not converge for this bath"
-        )
-    return PdParams(extrapolated)
+    # + 0.0 writes the -0.0 of a signed-zero alpha or T as 0.0
+    return PdParams(2.0 * math.pi * bath.alpha * bath.temperature + 0.0)
 
 
 def pd_bloch(params: PdParams, t: float, u: float, v: float) -> np.ndarray:

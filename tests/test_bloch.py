@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kraus_forge.bloch import (
     AffineBlochMap,
@@ -17,12 +19,13 @@ from kraus_forge.gad import (
     BathSpectrum,
     GadRates,
     GadScaled,
+    gad_F_closed,
     gad_kraus_closed,
     rates_from_physics,
     rescale,
 )
 from kraus_forge.kraus import KrausSet, apply_channel, identity_kraus_set
-from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z
+from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z
 from kraus_forge.pd import PdParams, pd_kraus
 
 
@@ -106,6 +109,63 @@ def test_map_keeps_image_inside_ball():
 def test_map_rejects_incomplete_set():
     with pytest.raises(IncompleteKrausSet):
         bloch_map(KrausSet((0.7 * SIGMA_I,)))
+
+
+def _reference_bloch_map(kset):
+    # M_ij = tr(s_i phi(s_j)) / 2 and b_i = tr(s_i phi(I)) / 2, from the four
+    # channel images phi(I), phi(s_x), phi(s_y), phi(s_z)
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    identity_image, *images = (
+        sum(e @ op @ e.conj().T for e in kset.operators) for op in (SIGMA_I, *paulis)
+    )
+    linear = np.array(
+        [[0.5 * np.trace(si @ image).real for image in images] for si in paulis]
+    )
+    shift = np.array([0.5 * np.trace(si @ identity_image).real for si in paulis])
+    return linear, shift
+
+
+# one to four operators: the 2x2 blocks of a random isometry, as 8 real
+# numbers per operator before orthonormalisation
+_ISOMETRY = st.lists(
+    st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ISOMETRY)
+def test_map_equals_channel_image_formula(blocks):
+    raw = np.concatenate(
+        [(np.array(v[:4]) + 1j * np.array(v[4:])).reshape(2, 2) for v in blocks]
+    )
+    # orthonormal columns cut into 2x2 blocks form a complete set
+    q = np.linalg.qr(raw)[0]
+    kset = KrausSet(tuple(q.reshape(len(blocks), 2, 2)))
+    bmap = bloch_map(kset)
+    linear, shift = _reference_bloch_map(kset)
+    assert np.abs(bmap.linear - linear).max() <= 1e-15
+    assert np.abs(bmap.shift - shift).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        GadScaled,
+        theta=st.floats(min_value=-8.0, max_value=8.0),
+        omega=st.floats(min_value=-2.0, max_value=-0.01),
+        tau=st.floats(min_value=1e-4, max_value=25.0),
+    )
+)
+def test_map_of_closed_set_is_the_closed_propagator_block(scaled):
+    # the block figure reads off the closed-form propagator
+    kset = gad_kraus_closed(scaled)
+    bmap = bloch_map(kset)
+    f = gad_F_closed(scaled)
+    linear, shift = _reference_bloch_map(kset)
+    assert np.abs(bmap.linear - linear).max() <= 1e-15
+    assert np.abs(bmap.shift - shift).max() <= 1e-15
+    assert np.abs(bmap.linear - f[1:, 1:]).max() <= 1e-12
+    assert np.abs(bmap.shift - f[1:, 0]).max() <= 1e-12
 
 
 def test_spherical_grid_layout():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import warnings
 from operator import itemgetter
 
 import numpy as np
@@ -98,6 +99,18 @@ def test_derive_physical_matches_scaled_route(capsys):
     assert code == 0
     scaled_set = kraus_set_from_dict(json.loads(out)["points"][0]["kraus"])
     assert choi_distance(physical_set, scaled_set) < 1e-9
+
+
+def test_derive_tiny_temperature_is_quiet(capsys):
+    # omega0 / T overflows to inf; the occupation is cut to 0 without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "derive", "--channel", "gad", "--physical", "--alpha=0.02",
+            "--omega0=10", "--cutoff=15", "--temperature=1e-308", "--t=0.3",
+        )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["points"][0]["scaled"]["omega"] == -2.0
 
 
 def test_derive_time_grid(capsys):

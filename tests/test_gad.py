@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from kraus_forge.kraus import (
 )
 from kraus_forge.lindblad import build_L
 from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z, hermitian_eig, matrix_exp
+from kraus_forge.pd import pd_rate_from_physics
 
 scaled_params = st.builds(
     GadScaled,
@@ -435,6 +437,14 @@ def test_thermal_occupation_values():
     assert thermal_occupation(1e4, 1.0) == 0.0  # exponent overflow guard
 
 
+def test_thermal_occupation_quiet_at_tiny_temperature():
+    # omega / T overflows to inf, which the 700 cut sends to 0 without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thermal_occupation(10.0, 1e-308) == 0.0
+        assert thermal_occupation(np.array([0.5, 10.0]), 5e-324).tolist() == [0.0, 0.0]
+
+
 def test_rates_from_physics_zero_temperature():
     bath = BathSpectrum(0.02, 10.0, 15.0, 0.0)
     rates = rates_from_physics(bath)
@@ -535,6 +545,12 @@ def test_lamb_stark_panels_in_one_call_keep_every_bit(bath):
     assert _shift_or_failure(bath) == reference
 
 
+@given(bath=baths())
+def test_pd_rate_is_the_exact_ohmic_limit(bath):
+    # 2 pi lim_{w -> 0} J(w) n(w) = 2 pi alpha T, in the benchmark oracle's order
+    assert pd_rate_from_physics(bath).r == 2.0 * math.pi * bath.alpha * bath.temperature
+
+
 def test_lamb_stark_rejects_pole_outside_window():
     with pytest.raises(ValueError):
         lamb_stark_shift(BathSpectrum(0.02, 1000.0, 15.0, 0.0))
@@ -543,8 +559,3 @@ def test_lamb_stark_rejects_pole_outside_window():
 def test_quadrature_failure_when_tolerance_unreachable():
     with pytest.raises(QuadratureFailure):
         lamb_stark_shift(BathSpectrum(0.02, 10.0, 15.0, 100.0), rel_tol=1e-18)
-
-
-def test_bath_model_tag_rejected():
-    with pytest.raises(ValueError):
-        BathSpectrum(0.02, 10.0, 15.0, 0.0, model="lorentzian")

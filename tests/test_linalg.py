@@ -233,7 +233,9 @@ _ENTRY = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infin
 @st.composite
 def _hermitian_member(draw):
     kind = draw(
-        st.sampled_from(("general", "zero", "diagonal", "degenerate", "gad", "subnormal"))
+        st.sampled_from(
+            ("general", "zero", "diagonal", "degenerate", "gad", "subnormal", "far")
+        )
     )
     if kind == "zero":
         return np.zeros((4, 4), dtype=complex)
@@ -262,6 +264,10 @@ def _hermitian_member(draw):
         # cutoff), or a whole matrix of them (a norm whose square underflows)
         tiny = np.array(draw(st.lists(st.booleans(), min_size=16, max_size=16))).reshape(4, 4)
         m = np.where(tiny | tiny.T, m * 1e-310, m)
+    if kind == "far":
+        # a norm whose square underflows or overflows, so the member is scaled
+        shift = draw(st.sampled_from((-1070, -700, 700, 1000)))
+        m = np.ldexp(m.real, shift) + 1j * np.ldexp(m.imag, shift)
     return m
 
 
@@ -294,6 +300,12 @@ def _reference_eig(matrix):
     for x, y in zip(ar.ravel().tolist(), ai.ravel().tolist()):
         total = total + (x * x + y * y)
     scale = math.sqrt(total)
+    # a norm outside [2^-500, 2^500]: the member scaled by the power of two
+    # that brings its largest entry into [1/2, 1), and the spectrum scaled back
+    shift = np.frexp(max(np.abs(ar).max(), np.abs(ai).max()))[1]
+    if not 2.0**-500 <= scale <= 2.0**500 and shift:
+        values, vectors = _reference_eig(np.ldexp(ar, -shift) + 1j * np.ldexp(ai, -shift))
+        return np.ldexp(values, shift), vectors
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for sweep in range(61 if scale > 0.0 else 0):
         off = max(float(np.hypot(ar[p, q], ai[p, q])) for p, q in pairs)
@@ -342,6 +354,38 @@ def test_eig_stack_equals_loop(members):
         for alone_values, alone_vectors in (hermitian_eig(member), _reference_eig(member)):
             assert _same_bits(values[k], alone_values)
             assert _same_bits(vectors[k], alone_vectors)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.full((4, 4), 1e-200),
+        np.full((4, 4), 1e200),
+        np.full((4, 4), 5e-324),
+        np.arange(16.0).reshape(4, 4) * 1e-310,
+        np.diag([1e-170, -3e-171, 2e-172, 0.0]) + np.eye(4, k=1) * 1e-171,
+        np.diag([1e170, -3e169, 2e171, 1.0]) + np.eye(4, k=-1) * 1e170,
+    ],
+)
+def test_eig_out_of_range_members_are_scaled(matrix):
+    # a norm whose square underflows or overflows: the spectrum is that of the
+    # matrix scaled by a power of two, on the one-member and the stacked path
+    h = (matrix + matrix.T) / 2
+    shift = np.frexp(np.abs(h).max())[1]
+    expected = np.ldexp(np.linalg.eigvalsh(np.ldexp(h, -shift))[::-1], shift)
+    size = np.abs(expected).max()
+    stacked = hermitian_eig(np.stack([np.eye(4), h, 2.0 * np.eye(4)]))
+    for values, vectors in (hermitian_eig(h), (stacked[0][1], stacked[1][1])):
+        assert np.abs(values - expected).max() <= 1e-14 * size
+        assert np.abs(vectors.conj().T @ vectors - np.eye(4)).max() < 1e-14
+        assert np.abs((vectors * values) @ vectors.conj().T - h).max() <= 1e-14 * size
+    assert stacked[0][0].tolist() == [1.0] * 4 and stacked[0][2].tolist() == [2.0] * 4
+
+
+def test_eig_zero_matrix_stays_exact():
+    for values, vectors in (hermitian_eig(np.zeros((4, 4))), hermitian_eig(np.zeros((2, 4, 4)))):
+        assert not values.any()
+        assert np.array_equal(vectors, np.broadcast_to(np.eye(4), vectors.shape))
 
 
 def test_convergence_failure(monkeypatch):

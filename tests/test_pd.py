@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kraus_forge.errors import DivergentLimit, NegativeTime
+from kraus_forge.errors import NegativeTime
 from kraus_forge.gad import BathSpectrum
 from kraus_forge.kraus import (
     apply_channel,
@@ -159,18 +159,6 @@ def test_pd_rate_ohmic_values():
     assert rate.r == pytest.approx(4 * math.pi, rel=1e-8)
     rate = pd_rate_from_physics(BathSpectrum(0.02, 10.0, 15.0, 300.0))
     assert rate.r == pytest.approx(12 * math.pi, rel=1e-8)
-
-
-def test_pd_rate_divergent_limit(monkeypatch):
-    # a subohmic density J ~ w^0.5 makes J(w) n(w) blow up at w -> 0
-    import kraus_forge.pd as pd_module
-
-    def subohmic(bath, omega):
-        return bath.alpha * np.sqrt(np.asarray(omega, dtype=float))
-
-    monkeypatch.setattr(pd_module, "spectral_density", subohmic)
-    with pytest.raises(DivergentLimit):
-        pd_rate_from_physics(BathSpectrum(0.02, 10.0, 15.0, 100.0))
 
 
 def test_pd_params_validation():
