@@ -460,7 +460,7 @@ GOLDEN_DERIVE = {
         ("derive", "--channel", "pd", "--physical", "--alpha=0.02", "--omega0=10",
          "--cutoff=15", "--temperature=100", "--t-start", "0", "--t-end", "1",
          "--steps", "30"),
-        "ea0e975d31e536ee37cfd408ca9c473ef1147b29c15831afe1ad46e0f22aa84e",
+        "f079bb3fca3ccc290759c0d9eef4445f759994c1dd18bb2de12bd274638c9ffa",
     ),
     "gad_physical_shift_point": (
         ("derive", "--channel", "gad", "--physical", "--alpha=0.02", "--omega0=10",
@@ -484,7 +484,7 @@ def test_verify_report_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert (
         hashlib.sha256(report.read_bytes()).hexdigest()
-        == "f6f6b4a5dbea767082c2a7f145e9c6ca246b008e7400eaeb39c0448738ef2c0c"
+        == "f90224ede363352a2aba1f14474eb5d84127c1c6d247199649e02a42611a84c3"
     )
 
 
