@@ -164,8 +164,8 @@ def test_map_of_closed_set_is_the_closed_propagator_block(scaled):
     linear, shift = _reference_bloch_map(kset)
     assert np.abs(bmap.linear - linear).max() <= 1e-15
     assert np.abs(bmap.shift - shift).max() <= 1e-15
-    assert np.abs(bmap.linear - f[1:, 1:]).max() <= 1e-12
-    assert np.abs(bmap.shift - f[1:, 0]).max() <= 1e-12
+    assert np.abs(bmap.linear - f[1:, 1:]).max() <= 1e-14
+    assert np.abs(bmap.shift - f[1:, 0]).max() <= 1e-14
 
 
 def test_spherical_grid_layout():
