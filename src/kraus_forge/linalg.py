@@ -94,32 +94,34 @@ def _no_convergence() -> ConvergenceFailure:
     return ConvergenceFailure(f"off-diagonal mass did not settle within {SWEEP_LIMIT} sweeps")
 
 
-def _exponents(hr: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _exponents(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     # per member, the e with its largest entry in [2^(e-1), 2^e), and 0 for a
     # zero member; np.ldexp by -e is exact even where 2.0**-e would overflow
-    return np.frexp(np.maximum(np.abs(hr), np.abs(hi)).max(axis=(-2, -1)))[1]
+    return np.frexp(np.maximum(np.abs(re), np.abs(im)).max(axis=(-2, -1)))[1]
 
 
-def _eig_stack(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the Jacobi iteration on a stack (count, n, n) of Hermitian parts
-    count, n = hr.shape[0], hr.shape[-1]
+def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the Jacobi iteration on the Hermitian part of a stack (count, n, n) given as (real, imag)
+    count, n = re.shape[0], re.shape[-1]
     # the working matrices (0, 1) and the eigenvectors (2, 3), in real and
     # imaginary parts, with the stack axis last so that each entry is one
     # contiguous run over the members
     state = np.zeros((4, n, n, count))
-    state[0], state[1] = hr.transpose(1, 2, 0), hi.transpose(1, 2, 0)
     state[2, range(n), range(n)] = 1.0
     # the Frobenius norm, summed entry by entry in row-major order as the
-    # one-member path sums it (np.sum and BLAS dots use other orders)
+    # one-member path sums it (np.sum and BLAS dots use other orders); entries
+    # near the top of the range overflow here, and such a member is scaled
     with np.errstate(over="ignore"):
+        state[0] = ((re + re.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0)
+        state[1] = ((im - im.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0)
         squares = state[0] * state[0] + state[1] * state[1]
     scale = np.sqrt(reduce(operator.add, squares.reshape(n * n, count)))
     low, high = _NORM_RANGE
     outside = (scale < low) | (scale > high)
     if outside.any():
-        shift = np.where(outside, _exponents(hr, hi), 0)
+        shift = np.where(outside, _exponents(re, im), 0)
         if shift.any():
-            values, vectors = _eig_stack(*np.ldexp((hr, hi), -shift[:, None, None]))
+            values, vectors = _eig_stack(*np.ldexp((re, im), -shift[:, None, None]))
             return np.ldexp(values, shift[:, None]), vectors
     rows, cols = np.triu_indices(n, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
@@ -177,11 +179,20 @@ def _eig_stack(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _eig_one(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_part(re: list, im: list) -> tuple[list, list]:
+    # (a + a^dag) / 2 of one matrix held as lists of rows of its real and
+    # imaginary parts; Python floats overflow to inf without a warning
+    return (
+        [[(x + y) / 2.0 for x, y in zip(row, column)] for row, column in zip(re, zip(*re))],
+        [[(x - y) / 2.0 for x, y in zip(row, column)] for row, column in zip(im, zip(*im))],
+    )
+
+
+def _eig_one(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _eig_stack's operations, in the same order, on one (n, n) member held as
     # lists of rows of floats; abs(complex(x, y)) is libm's hypot, as np.hypot
-    n = hr.shape[0]
-    ar, ai = hr.tolist(), hi.tolist()
+    n = re.shape[0]
+    ar, ai = _hermitian_part(re.tolist(), im.tolist())
     vr, vi = [[0.0] * n for _ in range(n)], [[0.0] * n for _ in range(n)]
     for k in range(n):
         vr[k][k] = 1.0
@@ -189,9 +200,9 @@ def _eig_one(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squares = [x * x + y * y for rr, ri in zip(ar, ai) for x, y in zip(rr, ri)]
     scale = math.sqrt(reduce(operator.add, squares))
     if not _NORM_RANGE[0] <= scale <= _NORM_RANGE[1]:
-        shift = _exponents(hr, hi)
+        shift = _exponents(re, im)
         if shift:
-            values, vectors = _eig_one(*np.ldexp((hr, hi), -shift))
+            values, vectors = _eig_one(*np.ldexp((re, im), -shift))
             return np.ldexp(values, shift), vectors
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for sweep in range(SWEEP_LIMIT + 1 if scale > 0.0 else 0):
@@ -217,10 +228,7 @@ def _eig_one(hr: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rp, ip, rq, iq = ar[p], ai[p], ar[q], ai[q]
             for k in range(n):
                 rp[k], ip[k], rq[k], iq[k] = _rotated(c, ur, -ui, rp[k], ip[k], rq[k], iq[k])
-        ar, ai = (
-            [[(x + y) / 2.0 for x, y in zip(row, column)] for row, column in zip(ar, zip(*ar))],
-            [[(x - y) / 2.0 for x, y in zip(row, column)] for row, column in zip(ai, zip(*ai))],
-        )
+        ar, ai = _hermitian_part(ar, ai)
 
     values = [ar[j][j] for j in range(n)]
     order = sorted(range(n), key=lambda j: -values[j])
@@ -278,9 +286,7 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonHermitianInput(
             f"max |M - M^dag| = {deviation:.3e} exceeds {HERMITIAN_TOLERANCE:.1e}"
         )
-    hr = (a.real + a.real.transpose(0, 2, 1)) / 2.0
-    hi = (a.imag - a.imag.transpose(0, 2, 1)) / 2.0
-    values, vectors = _eig_one(hr[0], hi[0]) if len(a) == 1 else _eig_stack(hr, hi)
+    values, vectors = _eig_one(a.real[0], a.imag[0]) if len(a) == 1 else _eig_stack(a.real, a.imag)
     return values.reshape(shape[:-1]), vectors.reshape(shape)
 
 

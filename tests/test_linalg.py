@@ -382,6 +382,27 @@ def test_eig_out_of_range_members_are_scaled(matrix):
     assert stacked[0][0].tolist() == [1.0] * 4 and stacked[0][2].tolist() == [2.0] * 4
 
 
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (np.diag([1e308, 1.0]), [1e308, 1.0]),
+        (np.array([[1.0, 1e308], [1e308, 1.0]]), [1e308, -1e308]),
+        (np.array([[1.7e308, 1e-300j], [-1e-300j, -1.7e308]]), [1.7e308, -1.7e308]),
+    ],
+)
+def test_eig_entries_near_the_top_of_the_range(matrix, expected):
+    # the Hermitian part (a + a^dag) / 2 would overflow; the member is scaled
+    # by the power of two of its largest entry first, on both paths, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = hermitian_eig(matrix)
+        stacked = hermitian_eig(np.stack([np.eye(2), matrix]))
+    for values, vectors in (alone, (stacked[0][1], stacked[1][1])):
+        assert np.abs(values - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() < 1e-15
+    assert stacked[0][0].tolist() == [1.0, 1.0]
+
+
 def test_eig_zero_matrix_stays_exact():
     for values, vectors in (hermitian_eig(np.zeros((4, 4))), hermitian_eig(np.zeros((2, 4, 4)))):
         assert not values.any()
