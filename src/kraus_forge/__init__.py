@@ -23,11 +23,9 @@ from .errors import (
     NotTracePreserving,
     OverflowDetected,
     QuadratureFailure,
-    SingularTime,
 )
 from .gad import (
     BathSpectrum,
-    GadIntermediates,
     GadRates,
     GadScaled,
     ReferenceGadParams,
@@ -40,7 +38,6 @@ from .gad import (
     gad_bloch_scaled,
     gad_choi_eigenvalues,
     gad_generator,
-    gad_intermediates,
     gad_kraus_asymptotic,
     gad_kraus_closed,
     hamiltonian_shift,

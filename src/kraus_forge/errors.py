@@ -41,9 +41,5 @@ class NonRealGeneratorMatrix(KrausForgeError):
     """A generator matrix carries imaginary residue beyond tolerance."""
 
 
-class SingularTime(KrausForgeError):
-    """Closed-form expressions are singular at (or too close to) zero time."""
-
-
 class QuadratureFailure(KrausForgeError):
     """Principal-value quadrature missed the requested accuracy."""

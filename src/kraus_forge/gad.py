@@ -1,10 +1,11 @@
 """Closed forms for the generalized amplitude damping channel.
 
 Covers the physical-rate, scaled, and thermal-reference parameterizations,
-the generator and propagator matrices, the Choi spectrum, the four
-closed-form Kraus operators with their shared subexpressions, the
-long-time limit set, and the bath-spectrum plumbing (rates, dephasing-free
-frequency shifts via principal-value quadrature).
+the generator and propagator matrices, the Choi spectrum, the paper's four
+closed-form Kraus operators (evaluated with e^tau factored out, so one
+expression holds for every tau > 0), the long-time limit set, and the
+bath-spectrum plumbing (rates, dephasing-free frequency shifts via
+principal-value quadrature).
 
 Scaled variables: theta is the coherent-rotation strength, omega in [-2, 0)
 the thermal-balance parameter (omega = -2 is the zero-temperature limit),
@@ -14,20 +15,17 @@ z = omega / 2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import OverflowDetected, QuadratureFailure, SingularTime
+from .errors import QuadratureFailure
 from .kraus import KrausSet, identity_kraus_set
 from .lindblad import LindbladGenerator
 from .linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
-
-_SINGULAR_TAU = 1e-8
-# above this the closed-form subexpressions overflow; the long-time limit holds
-_LIMIT_TAU = 300.0
 
 
 @dataclass(frozen=True)
@@ -76,25 +74,6 @@ class GadScaled:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "tau", tau)
-
-
-@dataclass(frozen=True)
-class GadIntermediates:
-    """Shared subexpressions of the two dissipative closed-form Kraus operators.
-
-    ``a`` and ``d`` are complex; the paired entries are the +/- variants of
-    the same radical expression. Squares are clamped at zero so roundoff
-    cannot push them negative.
-    """
-
-    a: complex
-    b_plus: float
-    b_minus: float
-    c_plus: float
-    c_minus: float
-    d: complex
-    e_plus: float
-    e_minus: float
 
 
 @dataclass(frozen=True)
@@ -268,89 +247,51 @@ def gad_choi_eigenvalues(scaled: GadScaled) -> np.ndarray:
     )
 
 
-def gad_intermediates(scaled: GadScaled) -> GadIntermediates:
-    """Subexpressions shared by the dissipative closed-form Kraus pair.
-
-    Singular at tau = 0 (the complex factor ``a`` vanishes); tau below 1e-8
-    raises SingularTime. The growing factors overflow doubles near tau = 350,
-    so tau above 300 raises OverflowDetected; ``gad_kraus_closed`` returns
-    the long-time limit set there.
-    """
-    theta, omega, tau = scaled.theta, scaled.omega, scaled.tau
-    if tau < _SINGULAR_TAU:
-        raise SingularTime(f"closed-form subexpressions singular for tau={tau}")
-    if tau > _LIMIT_TAU:
-        raise OverflowDetected(
-            f"closed-form subexpressions overflow for tau={tau}; "
-            "use the asymptotic set"
-        )
-    angle = theta * tau
-    sinh_tau = math.sinh(tau)
-    a = complex(omega * sinh_tau, -2.0 * math.sin(angle))
-    e2 = math.exp(-2.0 * tau)
-    eigs = gad_choi_eigenvalues(scaled)
-    b_minus = max(4.0 * e2 * eigs[2], 0.0)
-    b_plus = 4.0 * e2 * eigs[3]
-    # e^(-tau) times the radical, in its bounded form
-    scaled_root = 2.0 * math.sqrt(4.0 + omega * omega * sinh_tau * sinh_tau)
-    cos4 = 4.0 * math.cos(angle)
-    c_minus = (scaled_root - cos4) ** 2
-    c_plus = (scaled_root + cos4) ** 2
-    d = 4.0 * math.exp(tau) * complex(math.cos(angle), -math.sin(angle))
-    root = scaled_root * math.exp(tau)
-    drift = -omega * math.expm1(2.0 * tau)  # (1 - e^(2 tau)) * omega
-    return GadIntermediates(
-        a=a,
-        b_plus=b_plus,
-        b_minus=b_minus,
-        c_plus=c_plus,
-        c_minus=c_minus,
-        d=d,
-        e_plus=drift + root,
-        e_minus=drift - root,
-    )
-
-
 def gad_kraus_closed(scaled: GadScaled) -> KrausSet:
-    """The four closed-form Kraus operators, in their canonical order.
+    """The paper's four closed-form Kraus operators, in their canonical order.
 
     Zero operators are kept in place (at omega = -2 the second and third
     vanish identically), so the set always has four entries with weights
-    equal to the Choi eigenvalues. Below tau = 1e-8 the formulas are
-    singular and the identity set is returned instead. Above tau = 300,
-    where e^(-tau) lies far below double precision and the formulas
-    overflow, the long-time limit set is returned in the same order.
+    equal to the Choi eigenvalues mu; tau = 0 gives the identity set.
+
+    The paper's a = omega sinh(tau) - 2i sin(theta tau) vanishes at tau = 0,
+    and its d = 4 e^tau e^(-i theta tau), e+-, c+- and radical grow like e^tau
+    or e^(2 tau), so e^tau is factored out. With k + is = e^(-tau) e^(i theta
+    tau) and lambda = 1 - e^(-2 tau), A = e^(-tau) a = omega lambda / 2 - 2is
+    and root = hypot(4 e^(-tau), omega lambda) is e^(-2 tau) times the
+    radical. For P = 4k + root, d - e- and conj(d) + e+ are e^(2 tau) times
+    (P + 2A, P - 2A); by (4k + root)(4k - root) = -4|A|^2, d - e+ and
+    conj(d) + e- are e^(2 tau) (2A/P) (conj(P - 2A), -conj(P + 2A)). As
+    4|a|^2 + c+- = 2 e^(2 tau) root (root +- 4k) and b+- = 4 e^(-2 tau) mu+-,
+    the prefactor sqrt(|a|^2 b+- / (4|a|^2 + c+-)) / (2 sqrt(2) a) scales each
+    pair to weight mu+- and gives the plus operator the phase conj(a)/|a|.
+    The pair is divided by P where k >= 0 and by |A| where k < 0, since
+    4k + root cancels there; so it stays of order one for every tau > 0.
     """
-    if scaled.tau < _SINGULAR_TAU:
+    if scaled.tau == 0.0:
         return identity_kraus_set()
-    if scaled.tau > _LIMIT_TAU:
-        # the limit set lists its two diagonal operators the other way round
-        lower, upper, second, first = gad_kraus_asymptotic(scaled.omega).operators
-        return KrausSet((lower, upper, first, second), tuple(gad_choi_eigenvalues(scaled).tolist()))
-    omega = scaled.omega
-    lam = -math.expm1(-2.0 * scaled.tau)
-    sub = gad_intermediates(scaled)
+    omega, tau = scaled.omega, scaled.tau
+    angle = scaled.theta * tau
+    decay = math.exp(-tau)
+    lam = -math.expm1(-2.0 * tau)
+    k = decay * math.cos(angle)
+    a = complex(0.5 * omega * lam, -2.0 * decay * math.sin(angle))
+    root = math.hypot(4.0 * decay, omega * lam)
+    # conj(a)/|a|; cmath.phase keeps it of unit modulus where a is subnormal
+    phase = cmath.rect(1.0, -cmath.phase(a))
+    if k >= 0.0:
+        p, two_a = 1.0, 2.0 * a / (4.0 * k + root)
+    else:
+        p, two_a = 4.0 * abs(a) / (root - 4.0 * k), 2.0 * phase.conjugate()
+    first, second = p + two_a, p - two_a
+    scale = 1.0 / math.hypot(abs(first), abs(second))
     eigs = gad_choi_eigenvalues(scaled)
 
-    lower = np.zeros((2, 2), dtype=complex)
-    lower[1, 0] = 0.5j * math.sqrt(lam * (2.0 - omega))
-    upper = np.zeros((2, 2), dtype=complex)
-    upper[0, 1] = -0.5j * math.sqrt(lam * (2.0 + omega))
-
-    mag_a2 = abs(sub.a) ** 2
-    scale = 1.0 / (2.0 * math.sqrt(2.0) * sub.a)
-    pref_minus = math.sqrt(mag_a2 * sub.b_minus / (4.0 * mag_a2 + sub.c_minus)) * scale
-    pref_plus = math.sqrt(mag_a2 * sub.b_plus / (4.0 * mag_a2 + sub.c_plus)) * scale
-    diag_minus = pref_minus * np.array(
-        [[sub.d - sub.e_plus, 0.0], [0.0, np.conj(sub.d) + sub.e_minus]]
-    )
-    diag_plus = pref_plus * np.array(
-        [[sub.d - sub.e_minus, 0.0], [0.0, np.conj(sub.d) + sub.e_plus]]
-    )
-    return KrausSet(
-        (lower, upper, diag_minus, diag_plus),
-        tuple(float(v) for v in eigs),
-    )
+    lower = np.array([[0.0, 0.0], [0.5j * math.sqrt(lam * (2.0 - omega)), 0.0]])
+    upper = np.array([[0.0, -0.5j * math.sqrt(lam * (2.0 + omega))], [0.0, 0.0]])
+    diag_minus = math.sqrt(eigs[2]) * scale * np.diag([second.conjugate(), -first.conjugate()])
+    diag_plus = math.sqrt(eigs[3]) * scale * phase * np.diag([first, second])
+    return KrausSet((lower, upper, diag_minus, diag_plus), tuple(eigs.tolist()))
 
 
 def gad_kraus_asymptotic(omega: float) -> KrausSet:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from unittest import mock
@@ -5,11 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kraus_forge import gad as gad_mod
-from kraus_forge.errors import QuadratureFailure, SingularTime
+from kraus_forge.errors import QuadratureFailure
 from kraus_forge.gad import (
     BathSpectrum,
     GadRates,
@@ -23,7 +24,6 @@ from kraus_forge.gad import (
     gad_bloch_scaled,
     gad_choi_eigenvalues,
     gad_generator,
-    gad_intermediates,
     gad_kraus_asymptotic,
     gad_kraus_closed,
     lamb_stark_shift,
@@ -40,6 +40,7 @@ from kraus_forge.kraus import (
     choi_from_propagator,
     kraus_from_choi,
     kraus_stack,
+    kraus_to_choi,
     propagate,
 )
 from kraus_forge.lindblad import build_L
@@ -241,39 +242,102 @@ def test_closed_kraus_matches_pipeline():
                 assert choi_distance(gad_kraus_closed(scaled), pipeline) < 1e-9
 
 
+def _whole_domain_bounds(scaled):
+    # complete, the channel of the closed-form propagator, and weighted by
+    # the closed-form Choi eigenvalues, all within roundoff
+    kset = gad_kraus_closed(scaled)
+    assert all(np.isfinite(op).all() for op in kset.operators)
+    assert kset.completeness_residual() <= 1e-14
+    exact = choi_from_propagator(gad_F_closed(scaled))
+    assert np.linalg.norm(kraus_to_choi(kset) - exact) <= 1e-14
+    if scaled.tau > 0.0:
+        assert kset.weights == tuple(gad_choi_eigenvalues(scaled).tolist())
+
+
 def test_closed_kraus_identity_branch_below_singular_time():
     kset = gad_kraus_closed(GadScaled(1.0, -1.0, 0.0))
     assert len(kset) == 1
     assert np.abs(kset.operators[0] - SIGMA_I).max() == 0.0
-    assert len(gad_kraus_closed(GadScaled(1.0, -1.0, 0.99e-8))) == 1
-    assert len(gad_kraus_closed(GadScaled(1.0, -1.0, 1.01e-8))) == 4
+    # either side of the old 1e-8 cut-off, the one evaluation holds
+    for tau in (0.99e-8, 1.01e-8):
+        assert len(gad_kraus_closed(GadScaled(1.0, -1.0, tau))) == 4
+        _whole_domain_bounds(GadScaled(1.0, -1.0, tau))
 
 
-def test_intermediates_singular_at_zero_time():
-    with pytest.raises(SingularTime):
-        gad_intermediates(GadScaled(1.0, -1.0, 0.0))
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.floats(min_value=-1e3, max_value=1e3),
+    omega=st.one_of(
+        st.sampled_from((-2.0, -1e-200, -1e-310, -5e-324)),
+        st.floats(min_value=-2.0, max_value=0.0, exclude_max=True),
+    ),
+    tau=st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e300)),
+)
+# where the literal evaluation failed: an identity set 8 digits off below
+# tau = 1e-8, and an eps / omega^2 loss as omega -> 0, incomplete from
+# omega = -1e-16 and NaN at -1e-200
+@example(theta=900.0, omega=-2.0, tau=5e-9)
+@example(theta=0.0, omega=-1e-4, tau=1.0)
+@example(theta=0.0, omega=-1e-8, tau=1.0)
+@example(theta=0.0, omega=-1e-12, tau=1.0)
+@example(theta=0.0, omega=-1e-16, tau=1.0)
+@example(theta=0.0, omega=-1e-200, tau=1.0)
+# a subnormal a, subnormal entries at long times, and a = 0 in floats with
+# 4k + root cancelling (cos(theta tau) = -1 where e^(-tau) is subnormal)
+@example(theta=1.0, omega=-1.0, tau=5e-324)
+@example(theta=0.0, omega=-5e-324, tau=1e4)
+@example(theta=math.pi / 736.8, omega=-5e-324, tau=736.8)
+def test_closed_kraus_whole_domain(theta, omega, tau):
+    _whole_domain_bounds(GadScaled(theta, omega, tau))
 
 
-def test_intermediates_recompute_agreement():
-    # naive re-evaluation with the raw exponential forms
-    scaled = GadScaled(0.9, -0.7, 1.4)
-    sub = gad_intermediates(scaled)
+def _paper_kraus(scaled):
+    # the paper's operators written with its raw forms of a, c+-, d and e+-
+    # (only c+- and the radical rearranged so that tau = 300 stays in range);
+    # b+- = 4 e^(-2 tau) mu+- is taken from the Choi eigenvalues, whose
+    # cancellation at omega = -2 is not what this compares
     theta, omega, tau = scaled.theta, scaled.omega, scaled.tau
     grow = math.exp(2 * tau)
-    root = math.sqrt(16.0 * grow + omega**2 * (grow - 1.0) ** 2)
-    assert abs(sub.a - (-2j * math.sin(theta * tau) + omega * math.sinh(tau))) < 1e-12
-    assert abs(sub.b_plus - math.exp(-4 * tau) * (2 + 2 * grow + root)) < 1e-12
-    assert abs(sub.b_minus - math.exp(-4 * tau) * (2 + 2 * grow - root)) < 1e-12
-    for sign, value in ((1.0, sub.c_plus), (-1.0, sub.c_minus)):
-        raw = math.exp(-2 * tau) * (
-            root + sign * 4 * math.exp(tau) * math.cos(theta * tau)
-        ) ** 2
-        assert abs(value - raw) < 1e-12 * max(1.0, raw)
-    assert abs(sub.d - 4 * math.exp(tau) * np.exp(-1j * theta * tau)) < 1e-12
-    assert abs(sub.e_plus - ((1 - grow) * omega + root)) < 1e-9 * max(1.0, abs(root))
-    assert abs(sub.e_minus - ((1 - grow) * omega - root)) < 1e-9 * max(1.0, abs(root))
-    assert sub.b_plus >= 0 and sub.b_minus >= 0
-    assert sub.c_plus >= 0 and sub.c_minus >= 0
+    lam = -math.expm1(-2 * tau)
+    root = math.hypot(4 * math.sqrt(grow), omega * (grow - 1))
+    a = -2j * math.sin(theta * tau) + omega * math.sinh(tau)
+    mu = gad_choi_eigenvalues(scaled)
+    b_minus, b_plus = 4 * math.exp(-2 * tau) * mu[2], 4 * math.exp(-2 * tau) * mu[3]
+    c_minus, c_plus = (
+        (math.exp(-tau) * root + sign * 4 * math.cos(theta * tau)) ** 2 for sign in (-1, 1)
+    )
+    d = 4 * math.exp(tau) * cmath.exp(-1j * theta * tau)
+    e_plus, e_minus = (1 - grow) * omega + root, (1 - grow) * omega - root
+
+    def prefactor(b, c):
+        return math.sqrt(abs(a) ** 2 * b / (4 * abs(a) ** 2 + c)) / (2 * math.sqrt(2) * a)
+
+    return np.array([
+        [[0, 0], [0.5j * math.sqrt(lam * (2 - omega)), 0]],
+        [[0, -0.5j * math.sqrt(lam * (2 + omega))], [0, 0]],
+        prefactor(b_minus, c_minus) * np.diag([d - e_plus, d.conjugate() + e_minus]),
+        prefactor(b_plus, c_plus) * np.diag([d - e_minus, d.conjugate() + e_plus]),
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.floats(min_value=-1e3, max_value=1e3),
+    omega=st.floats(min_value=-2.0, max_value=-1e-3),
+    tau=st.floats(min_value=1e-3, max_value=300.0),
+)
+@example(theta=0.9, omega=-0.7, tau=1.4)
+def test_closed_kraus_is_the_paper_formula(theta, omega, tau):
+    # the same operators, phases included, not merely the same channel
+    scaled = GadScaled(theta, omega, tau)
+    closed = np.array(gad_kraus_closed(scaled).operators)
+    assert np.abs(closed - _paper_kraus(scaled)).max() <= 1e-12
+    # the paper's b+- in their raw form are 4 e^(-2 tau) times the Choi eigenvalues
+    grow, shrink = math.exp(2 * tau), math.exp(-2 * tau)
+    root = math.hypot(4 * math.sqrt(grow), omega * (grow - 1))
+    mu = gad_choi_eigenvalues(scaled)
+    for b, weight in ((2 + 2 * grow + root, mu[3]), (2 + 2 * grow - root, mu[2])):
+        assert abs(shrink * (shrink * b) - 4 * shrink * weight) <= 1e-12
 
 
 def test_asymptotic_kraus_zero_temperature():
@@ -309,7 +373,7 @@ def test_closed_kraus_converges_to_asymptotic():
 @pytest.mark.parametrize("tau", [300.0, 301.0, 1e4, 1e300])
 @pytest.mark.parametrize("omega", [-2.0, -1.0, -0.1])
 def test_closed_kraus_long_time_is_the_limit_set(omega, tau):
-    # past tau = 300 the closed form gives the long-time limit set, in the
+    # long past tau = 300 the closed form is the long-time limit set, in the
     # canonical order, with the Choi eigenvalues as weights
     scaled = GadScaled(1.0, omega, tau)
     kset = gad_kraus_closed(scaled)
