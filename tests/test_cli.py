@@ -4,8 +4,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -993,3 +996,24 @@ def test_derive_text_equals_json_dumps_of_the_dict_documents(capsys, tmp_path, c
     times = np.linspace(start, end, steps) if steps > 1 else np.array([start])
     expected = json.dumps(_reference_document(channel, param, times), indent=2) + "\n"
     assert out == expected
+
+
+_IMPORT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import kraus_forge.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_runtime_imports_numpy_and_nothing_else_outside_the_stdlib():
+    # the package promises a numpy-only runtime; the test extras stay out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(run.stdout) == ["kraus_forge", "numpy"]
