@@ -487,7 +487,7 @@ def test_verify_report_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert (
         hashlib.sha256(report.read_bytes()).hexdigest()
-        == "f90224ede363352a2aba1f14474eb5d84127c1c6d247199649e02a42611a84c3"
+        == "c7bed9f878d6870abb055bf67e2130fc2d6375b3481e4d63e93549dac666b3ac"
     )
 
 
