@@ -119,9 +119,11 @@ def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low, high = _NORM_RANGE
     outside = (scale < low) | (scale > high)
     if outside.any():
-        shift = np.where(outside, _exponents(re, im), 0)
+        # the Hermitian part is scaled, or where it overflowed the input is
+        parts = np.where(np.isfinite(scale)[:, None, None], state[:2].transpose(0, 3, 1, 2), (re, im))
+        shift = np.where(outside, _exponents(*parts), 0)
         if shift.any():
-            values, vectors = _eig_stack(*np.ldexp((re, im), -shift[:, None, None]))
+            values, vectors = _eig_stack(*np.ldexp(parts, -shift[:, None, None]))
             return np.ldexp(values, shift[:, None]), vectors
     rows, cols = np.triu_indices(n, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
@@ -180,8 +182,7 @@ def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian_part(re: list, im: list) -> tuple[list, list]:
-    # (a + a^dag) / 2 of one matrix held as lists of rows of its real and
-    # imaginary parts; Python floats overflow to inf without a warning
+    # (a + a^dag) / 2 of one matrix as lists of rows; Python floats overflow quietly
     return (
         [[(x + y) / 2.0 for x, y in zip(row, column)] for row, column in zip(re, zip(*re))],
         [[(x - y) / 2.0 for x, y in zip(row, column)] for row, column in zip(im, zip(*im))],
@@ -200,9 +201,10 @@ def _eig_one(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squares = [x * x + y * y for rr, ri in zip(ar, ai) for x, y in zip(rr, ri)]
     scale = math.sqrt(reduce(operator.add, squares))
     if not _NORM_RANGE[0] <= scale <= _NORM_RANGE[1]:
-        shift = _exponents(re, im)
+        parts = (ar, ai) if scale < math.inf else (re, im)
+        shift = _exponents(*parts)
         if shift:
-            values, vectors = _eig_one(*np.ldexp((re, im), -shift))
+            values, vectors = _eig_one(*np.ldexp(parts, -shift))
             return np.ldexp(values, shift), vectors
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for sweep in range(SWEEP_LIMIT + 1 if scale > 0.0 else 0):

@@ -234,7 +234,7 @@ _ENTRY = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infin
 def _hermitian_member(draw):
     kind = draw(
         st.sampled_from(
-            ("general", "zero", "diagonal", "degenerate", "gad", "subnormal", "far")
+            ("general", "zero", "diagonal", "degenerate", "gad", "subnormal", "far", "residue")
         )
     )
     if kind == "zero":
@@ -264,6 +264,10 @@ def _hermitian_member(draw):
         # cutoff), or a whole matrix of them (a norm whose square underflows)
         tiny = np.array(draw(st.lists(st.booleans(), min_size=16, max_size=16))).reshape(4, 4)
         m = np.where(tiny | tiny.T, m * 1e-310, m)
+    if kind == "residue":
+        # a Hermitian part whose squares underflow beside an anti-Hermitian
+        # residue within tolerance: the part sets the scaling, not the residue
+        m = np.ldexp(m.real, -700) + 1e-14j * (re + re.T)
     if kind == "far":
         # a norm whose square underflows or overflows, so the member is scaled
         shift = draw(st.sampled_from((-1070, -700, 700, 1000)))
