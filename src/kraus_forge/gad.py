@@ -2,10 +2,9 @@
 
 Covers the physical-rate, scaled, and thermal-reference parameterizations,
 the generator and propagator matrices, the Choi spectrum, the paper's four
-closed-form Kraus operators (evaluated with e^tau factored out, so one
-expression holds for every tau > 0), the long-time limit set, and the
-bath-spectrum plumbing (rates, dephasing-free frequency shifts via
-principal-value quadrature).
+closed-form Kraus operators (one expression for every tau > 0), the
+long-time limit set, and the bath-spectrum plumbing (rates, dephasing-free
+frequency shifts via principal-value quadrature).
 
 Scaled variables: theta is the coherent-rotation strength, omega in [-2, 0)
 the thermal-balance parameter (omega = -2 is the zero-temperature limit),
@@ -254,19 +253,19 @@ def gad_kraus_closed(scaled: GadScaled) -> KrausSet:
     vanish identically), so the set always has four entries with weights
     equal to the Choi eigenvalues mu; tau = 0 gives the identity set.
 
-    The paper's a = omega sinh(tau) - 2i sin(theta tau) vanishes at tau = 0,
-    and its d = 4 e^tau e^(-i theta tau), e+-, c+- and radical grow like e^tau
-    or e^(2 tau), so e^tau is factored out. With k + is = e^(-tau) e^(i theta
-    tau) and lambda = 1 - e^(-2 tau), A = e^(-tau) a = omega lambda / 2 - 2is
-    and root = hypot(4 e^(-tau), omega lambda) is e^(-2 tau) times the
-    radical. For P = 4k + root, d - e- and conj(d) + e+ are e^(2 tau) times
-    (P + 2A, P - 2A); by (4k + root)(4k - root) = -4|A|^2, d - e+ and
-    conj(d) + e- are e^(2 tau) (2A/P) (conj(P - 2A), -conj(P + 2A)). As
-    4|a|^2 + c+- = 2 e^(2 tau) root (root +- 4k) and b+- = 4 e^(-2 tau) mu+-,
-    the prefactor sqrt(|a|^2 b+- / (4|a|^2 + c+-)) / (2 sqrt(2) a) scales each
-    pair to weight mu+- and gives the plus operator the phase conj(a)/|a|.
-    The pair is divided by P where k >= 0 and by |A| where k < 0, since
-    4k + root cancels there; so it stays of order one for every tau > 0.
+    The paper's a = omega sinh(tau) - 2i sin(theta tau) vanishes at tau = 0
+    and its d, e+-, c+- and radical R grow like e^tau or e^(2 tau), so e^tau
+    is factored out. With k + is = e^(-tau) e^(i theta tau) and lambda =
+    1 - e^(-2 tau), A = e^(-tau) a = omega lambda / 2 - 2is, root =
+    e^(-2 tau) R = hypot(4 e^(-tau), omega lambda) and P = 4k + root give
+    d - e- = e^(2 tau) (P + 2A) and conj(d) + e+ = e^(2 tau) (P - 2A); by
+    (4k + root)(4k - root) = -4|A|^2, d - e+ and conj(d) + e- are
+    e^(2 tau) (2A/P) (conj(P - 2A), -conj(P + 2A)). As 4|a|^2 + c+- =
+    2 e^(2 tau) root (root +- 4k) and b+- = 4 e^(-2 tau) mu+-, the prefactor
+    sqrt(|a|^2 b+- / (4|a|^2 + c+-)) / (2 sqrt(2) a) scales each pair to
+    weight mu+- and gives the plus operator the phase conj(a)/|a|. The pair
+    is divided by P where k >= 0 and by |A| where k < 0 (4k + root cancels
+    there), so it stays of order one for every tau > 0.
     """
     if scaled.tau == 0.0:
         return identity_kraus_set()
@@ -275,18 +274,17 @@ def gad_kraus_closed(scaled: GadScaled) -> KrausSet:
     decay = math.exp(-tau)
     lam = -math.expm1(-2.0 * tau)
     k = decay * math.cos(angle)
-    a = complex(0.5 * omega * lam, -2.0 * decay * math.sin(angle))
+    A = complex(0.5 * omega * lam, -2.0 * decay * math.sin(angle))
     root = math.hypot(4.0 * decay, omega * lam)
-    # conj(a)/|a|; cmath.phase keeps it of unit modulus where a is subnormal
-    phase = cmath.rect(1.0, -cmath.phase(a))
+    # conj(A)/|A| = conj(a)/|a|; cmath.phase keeps it of unit modulus where A is subnormal
+    phase = cmath.rect(1.0, -cmath.phase(A))
     if k >= 0.0:
-        p, two_a = 1.0, 2.0 * a / (4.0 * k + root)
+        p, two_A = 1.0, 2.0 * A / (4.0 * k + root)
     else:
-        p, two_a = 4.0 * abs(a) / (root - 4.0 * k), 2.0 * phase.conjugate()
-    first, second = p + two_a, p - two_a
+        p, two_A = 4.0 * abs(A) / (root - 4.0 * k), 2.0 * phase.conjugate()
+    first, second = p + two_A, p - two_A
     scale = 1.0 / math.hypot(abs(first), abs(second))
     eigs = gad_choi_eigenvalues(scaled)
-
     lower = np.array([[0.0, 0.0], [0.5j * math.sqrt(lam * (2.0 - omega)), 0.0]])
     upper = np.array([[0.0, -0.5j * math.sqrt(lam * (2.0 + omega))], [0.0, 0.0]])
     diag_minus = math.sqrt(eigs[2]) * scale * np.diag([second.conjugate(), -first.conjugate()])

@@ -282,7 +282,7 @@ def test_closed_kraus_identity_branch_below_singular_time():
 @example(theta=0.0, omega=-1e-12, tau=1.0)
 @example(theta=0.0, omega=-1e-16, tau=1.0)
 @example(theta=0.0, omega=-1e-200, tau=1.0)
-# a subnormal a, subnormal entries at long times, and a = 0 in floats with
+# a subnormal A, subnormal entries at long times, and A = 0 in floats with
 # 4k + root cancelling (cos(theta tau) = -1 where e^(-tau) is subnormal)
 @example(theta=1.0, omega=-1.0, tau=5e-324)
 @example(theta=0.0, omega=-5e-324, tau=1e4)
