@@ -119,7 +119,7 @@ def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low, high = _NORM_RANGE
     outside = (scale < low) | (scale > high)
     if outside.any():
-        # the Hermitian part is scaled, or where it overflowed the input is
+        # scale the Hermitian part, not a residue within tolerance; the input where it overflowed
         parts = np.where(np.isfinite(scale)[:, None, None], state[:2].transpose(0, 3, 1, 2), (re, im))
         shift = np.where(outside, _exponents(*parts), 0)
         if shift.any():
