@@ -7,34 +7,22 @@ import time
 import numpy as np
 
 from kraus_forge.bloch import bloch_map, bloch_volume, sample_ellipsoid, volume_rate
+from kraus_forge.checks import OMEGAS, TAUS, THETAS, gad_checks, pd_checks
 from kraus_forge.gad import (
     BathSpectrum,
     GadScaled,
-    ReferenceGadParams,
     gad_F_closed,
     gad_L_scaled,
     gad_bloch_rates,
     gad_bloch_scaled,
-    gad_choi_eigenvalues,
     gad_kraus_asymptotic,
     gad_kraus_closed,
     rates_from_physics,
-    reference_gad_kraus,
     rescale,
-    textbook_ad_kraus,
 )
-from kraus_forge.kraus import (
-    choi_distance,
-    choi_from_propagator,
-    kraus_from_choi,
-    propagate,
-)
-from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig, matrix_exp
-from kraus_forge.pd import PdParams, pd_L, pd_bloch, pd_kraus, pd_standard_kraus
-
-THETAS = (0.0, 1.0, 5.0)
-OMEGAS = (-2.0, -1.0, -0.1)
-TAUS = (0.1, 0.5, 1.0, 2.0, 5.0)
+from kraus_forge.kraus import choi_distance, choi_from_propagator, kraus_from_choi, propagate
+from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eig
+from kraus_forge.pd import PdParams, pd_bloch, pd_kraus
 
 FIGURE_BATH = dict(alpha=0.02, omega0=10.0, omega_c=15.0)
 
@@ -55,29 +43,30 @@ def channel_action(kset, operator):
     return sum(e @ operator @ e.conj().T for e in kset.operators)
 
 
+def _shared(checks, *names):
+    # whether the named checks of kraus_forge.checks pass, and their residuals
+    found = {name: (residual, tolerance) for name, residual, tolerance in checks}
+    passed = all(found[name][0] <= found[name][1] for name in names)
+    return passed, ", ".join(f"{name}={found[name][0]:.3e}" for name in names)
+
+
 def test_criterion_1_closed_vs_numeric_propagator():
     start = time.perf_counter()
-    worst = 0.0
-    for scaled in _grid():
-        closed = gad_F_closed(scaled)
-        numeric = matrix_exp(gad_L_scaled(scaled), scaled.tau)
-        worst = max(worst, float(np.abs(closed - numeric).max()))
+    passed, detail = _shared(gad_checks(), "gad_closed_vs_numeric_propagator")
     elapsed = time.perf_counter() - start
     _report(
         1,
         "closed-form propagator equals numeric exponential to 1e-10",
-        worst < 1e-10 and elapsed < 1.0,
-        f"residual={worst:.3e}, runtime={elapsed:.2f}s",
+        passed and elapsed < 1.0,
+        f"{detail}, runtime={elapsed:.2f}s",
     )
 
 
 def test_criterion_2_choi_spectrum():
-    worst_match = 0.0
+    passed, detail = _shared(gad_checks(), "gad_choi_spectrum", "gad_choi_eigenvalue_sum")
     worst_sum = 0.0
     for scaled in _grid():
         pipeline = hermitian_eig(choi_from_propagator(gad_F_closed(scaled)))[0]
-        closed = np.sort(gad_choi_eigenvalues(scaled))[::-1]
-        worst_match = max(worst_match, float(np.abs(pipeline - closed).max()))
         worst_sum = max(worst_sum, abs(float(pipeline.sum()) - 2.0))
     worst_theta = 0.0
     for omega in OMEGAS:
@@ -92,59 +81,24 @@ def test_criterion_2_choi_spectrum():
     _report(
         2,
         "Choi spectrum matches the closed forms, sums to 2, ignores theta",
-        worst_match < 1e-10 and worst_sum < 1e-12 and worst_theta < 1e-12,
-        f"match={worst_match:.3e}, sum={worst_sum:.3e}, theta={worst_theta:.3e}",
+        passed and worst_sum < 1e-12 and worst_theta < 1e-12,
+        f"{detail}, pipeline_sum={worst_sum:.3e}, theta={worst_theta:.3e}",
     )
 
 
 def test_criterion_3_completeness():
-    worst = 0.0
-    for scaled in _grid():
-        pipeline = kraus_from_choi(choi_from_propagator(gad_F_closed(scaled)))
-        closed = gad_kraus_closed(scaled)
-        reference = reference_gad_kraus(ReferenceGadParams.from_scaled(scaled))
-        worst = max(
-            worst,
-            pipeline.completeness_residual(),
-            closed.completeness_residual(),
-            reference.completeness_residual(),
-        )
-    for tau in TAUS:
-        worst = max(worst, pd_kraus(PdParams(1.0), tau).completeness_residual())
-    _report(
-        3,
-        "all Kraus families satisfy sum(E^dag E) = I to 1e-9",
-        worst < 1e-9,
-        f"residual={worst:.3e}",
-    )
+    passed, detail = _shared(gad_checks() + pd_checks(TAUS), "gad_completeness", "pd_completeness")
+    _report(3, "all Kraus families satisfy sum(E^dag E) = I", passed, detail)
 
 
 def test_criterion_4_equivalence_claims():
-    worst_textbook = 0.0
-    for tau in TAUS:
-        closed = gad_kraus_closed(GadScaled(0.0, -2.0, tau))
-        pair = textbook_ad_kraus(-math.expm1(-2.0 * tau))
-        worst_textbook = max(worst_textbook, choi_distance(closed, pair))
-    worst_reference = 0.0
-    for omega in OMEGAS:
-        for tau in TAUS:
-            scaled = GadScaled(0.0, omega, tau)
-            pipeline = kraus_from_choi(choi_from_propagator(gad_F_closed(scaled)))
-            reference = reference_gad_kraus(ReferenceGadParams.from_scaled(scaled))
-            worst_reference = max(worst_reference, choi_distance(pipeline, reference))
-    worst_pd = 0.0
-    for rt in TAUS:
-        pipeline = kraus_from_choi(
-            choi_from_propagator(propagate(pd_L(PdParams(1.0)), rt))
-        )
-        standard = pd_standard_kraus(-math.expm1(-2.0 * rt))
-        worst_pd = max(worst_pd, choi_distance(pipeline, standard))
-    _report(
-        4,
-        "closed/textbook, pipeline/reference, and pd/standard channels coincide",
-        worst_textbook < 1e-9 and worst_reference < 1e-9 and worst_pd < 1e-9,
-        f"textbook={worst_textbook:.3e}, reference={worst_reference:.3e}, pd={worst_pd:.3e}",
+    passed, detail = _shared(
+        gad_checks() + pd_checks(TAUS),
+        "gad_textbook_equivalence",
+        "gad_reference_vs_pipeline_choi",
+        "pd_pipeline_vs_standard_choi",
     )
+    _report(4, "closed/textbook, pipeline/reference, and pd/standard channels coincide", passed, detail)
 
 
 def test_criterion_5_channel_actions_and_bloch_solutions():
@@ -269,6 +223,7 @@ def test_criterion_6_volume_laws():
 
 
 def test_criterion_7_asymptotics():
+    passed, detail = _shared(gad_checks(), "gad_asymptotic_limit")
     worst_distance = 0.0
     worst_point = 0.0
     for omega in OMEGAS:
@@ -283,8 +238,8 @@ def test_criterion_7_asymptotics():
     _report(
         7,
         "tau=20 pipeline matches the asymptotic set and its fixed point",
-        worst_distance < 1e-7 and worst_point < 1e-8,
-        f"distance={worst_distance:.3e}, point={worst_point:.3e}",
+        passed and worst_distance < 1e-7 and worst_point < 1e-8,
+        f"{detail}, theta=1 distance={worst_distance:.3e}, point={worst_point:.3e}",
     )
 
 
