@@ -487,7 +487,7 @@ def test_verify_report_golden_bytes(capsys, tmp_path):
     assert code == 0
     assert (
         hashlib.sha256(report.read_bytes()).hexdigest()
-        == "c7bed9f878d6870abb055bf67e2130fc2d6375b3481e4d63e93549dac666b3ac"
+        == "cd0994c453496f92842ca80995dba64c17606b16fbc78861addfe03e582db13d"
     )
 
 
