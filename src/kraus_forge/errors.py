@@ -14,7 +14,11 @@ class ConvergenceFailure(KrausForgeError):
 
 
 class OverflowDetected(KrausForgeError):
-    """The matrix-exponential scaling stage left the representable range."""
+    """A result left the range of doubles.
+
+    Raised by the matrix exponential's scaling or squaring, and by
+    hermitian_eig for an eigenvalue beyond the largest double.
+    """
 
 
 class NegativeTime(KrausForgeError):

@@ -100,6 +100,15 @@ def _exponents(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(np.abs(re), np.abs(im)).max(axis=(-2, -1)))[1]
 
 
+def _scaled_back(values: np.ndarray, shift) -> np.ndarray:
+    # the eigenvalues of members iterated scaled by 2^-shift, at their true size
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, shift)
+    if not np.isfinite(values).all():
+        raise OverflowDetected("an eigenvalue lies beyond the largest double")
+    return values
+
+
 def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the Jacobi iteration on the Hermitian part of a stack (count, n, n) given as (real, imag)
     count, n = re.shape[0], re.shape[-1]
@@ -124,7 +133,7 @@ def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shift = np.where(outside, _exponents(*parts), 0)
         if shift.any():
             values, vectors = _eig_stack(*np.ldexp(parts, -shift[:, None, None]))
-            return np.ldexp(values, shift[:, None]), vectors
+            return _scaled_back(values, shift[:, None]), vectors
     rows, cols = np.triu_indices(n, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     # the members still rotating, as indices into the stack and as a working
@@ -205,7 +214,7 @@ def _eig_one(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shift = _exponents(*parts)
         if shift:
             values, vectors = _eig_one(*np.ldexp(parts, -shift))
-            return np.ldexp(values, shift), vectors
+            return _scaled_back(values, shift), vectors
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for sweep in range(SWEEP_LIMIT + 1 if scale > 0.0 else 0):
         off = max((abs(complex(ar[p][q], ai[p][q])) for p, q in pairs), default=0.0)
@@ -272,9 +281,10 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dispatch.
 
     Raises NonHermitianInput if a member has a non-finite entry or deviates
-    from Hermiticity by more than HERMITIAN_TOLERANCE, and ConvergenceFailure
+    from Hermiticity by more than HERMITIAN_TOLERANCE, ConvergenceFailure
     if the off-diagonal mass of a member does not vanish within SWEEP_LIMIT
-    cyclic sweeps.
+    cyclic sweeps, and OverflowDetected if an eigenvalue lies beyond the
+    largest double.
     """
     a = np.array(matrix, dtype=complex)
     shape = a.shape

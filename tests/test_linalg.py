@@ -407,6 +407,23 @@ def test_eig_entries_near_the_top_of_the_range(matrix, expected):
     assert stacked[0][0].tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.full((4, 4), 1e308),
+        np.full((2, 4, 4), 1e308),
+        np.full((2, 2), 1e308),
+    ],
+    ids=["one_4x4", "stack_of_two", "one_2x2"],
+)
+def test_eig_spectrum_beyond_the_largest_double_raises(matrix):
+    # eigenvalues 4e308 and 2e308: a typed error, not inf with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowDetected, match="beyond the largest double"):
+            hermitian_eig(matrix)
+
+
 def test_eig_zero_matrix_stays_exact():
     for values, vectors in (hermitian_eig(np.zeros((4, 4))), hermitian_eig(np.zeros((2, 4, 4)))):
         assert not values.any()
