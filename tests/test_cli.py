@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1007,13 +1008,27 @@ print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
 """
 
 
-def test_runtime_imports_numpy_and_nothing_else_outside_the_stdlib():
-    # the package promises a numpy-only runtime; the test extras stay out
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    # a new interpreter that imports the package under test
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_runtime_imports_numpy_and_nothing_else_outside_the_stdlib():
+    # the package promises a numpy-only runtime; the test extras stay out
+    run = _fresh_python("-c", _IMPORT_SCRIPT)
+    assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == ["kraus_forge", "numpy"]
+
+
+def test_readme_library_block_runs():
+    # the README's one python block, "Library in one minute", with warnings as errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    run = _fresh_python("-W", "error", "-c", blocks[0])
+    assert run.returncode == 0, run.stderr
