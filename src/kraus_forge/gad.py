@@ -230,21 +230,21 @@ def gad_choi_eigenvalues(scaled: GadScaled) -> np.ndarray:
     Evaluated with the radical rewritten as 16 e^(-2 tau) +
     omega^2 (1 - e^(-2 tau))^2, which stays bounded for large tau. The
     smaller root mu- = (2 e^(-2 tau) + 2 - root) / 4 is taken as
-    (4 - omega^2) lambda^2 / (4 (2 e^(-2 tau) + 2 + root)), its product
-    with mu+ over mu+, so it does not cancel and is exactly 0 at
-    omega = -2. All values are nonnegative and sum to 2.
+    mu- mu+ / mu+ = (4 - omega^2) lambda^2 / (4 (2 e^(-2 tau) + 2 + root)),
+    which does not cancel and is exactly 0 at omega = -2. All values are
+    nonnegative and sum to 2.
     """
     omega, tau = scaled.omega, scaled.tau
     e2 = math.exp(-2.0 * tau)
     lam = -math.expm1(-2.0 * tau)
     root = math.sqrt(16.0 * e2 + omega * omega * lam * lam)
-    outer = 2.0 * e2 + 2.0 + root
+    four_mu_plus = 2.0 * e2 + 2.0 + root
     return np.array(
         [
             0.25 * lam * (2.0 - omega),
             0.25 * lam * (2.0 + omega),
-            (2.0 - omega) * (2.0 + omega) * lam * lam / (4.0 * outer),
-            0.25 * outer,
+            (2.0 - omega) * (2.0 + omega) * lam * lam / (4.0 * four_mu_plus),
+            0.25 * four_mu_plus,
         ]
     )
 
