@@ -37,7 +37,11 @@ _PD_CUTOFF_BAND = (4.999e-13, 5.001e-13)
 
 def _failed(checks, skip=frozenset()):
     # `not <=` also catches a NaN residual
-    return [check for check in checks if check[0] not in skip and not check[1] <= check[2]]
+    return [
+        (name, residual, tolerance)
+        for name, residual, tolerance in checks
+        if name not in skip and not residual <= tolerance
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -53,7 +57,7 @@ def test_gad_checks_hold_up_to_tau_12(thetas, omegas, taus):
 @example(thetas=[-1e3, 1e3], omegas=[-2.0, -5e-324], taus=[19.04, 700.0])
 def test_gad_checks_beyond_tau_12_except_the_lambda_references(thetas, omegas, taus):
     checks = gad_checks(thetas, omegas, taus)
-    assert len(checks) == 8 and _LAMBDA_REFERENCE_CHECKS <= {check[0] for check in checks}
+    assert len(checks) == 8 and _LAMBDA_REFERENCE_CHECKS <= {name for name, _, _ in checks}
     assert _failed(checks, skip=_LAMBDA_REFERENCE_CHECKS) == []
 
 
