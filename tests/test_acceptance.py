@@ -279,7 +279,8 @@ def test_criterion_8_figure_reproduction():
     )
 
 
-@settings(max_examples=300, deadline=None)
+# one failure is reported, so criterion 9 gets one exception to print
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
 @given(theta=st.floats(-1e3, 1e3), tau=st.floats(0.0, 1e300, exclude_min=True))
 @example(theta=-998.45, tau=0.3)
 @example(theta=0.0, tau=18.3)
@@ -311,8 +312,8 @@ def test_criterion_9_degenerate_inputs():
     try:
         _two_closed_operators_at_zero_temperature()
         closed = "held"
-    except AssertionError as exc:
-        closed = f"fails at {exc}"
+    except Exception as exc:  # any error still ends in the one FAIL line
+        closed = f"fails: {type(exc).__name__}: {exc}"
     _report(
         9,
         "tau=0 gives the identity set; omega=-2 leaves exactly two operators",

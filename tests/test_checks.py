@@ -5,6 +5,7 @@ Hypothesis draws the grids: theta in [-1e3, 1e3], omega in [-2, 0) and
 tau or t from 0 up, subnormals included.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,9 @@ _LAMBDA_REFERENCE_CHECKS = {"gad_textbook_equivalence", "gad_reference_vs_pipeli
 # roundoff of the 1e-12 weight cutoff (t within about 1e-4 relative of
 # 5e-13), the pipeline may drop it, and the dropped weight, about 1e-12, is
 # then the distance to the closed set: the two pd Choi checks reach their
-# tolerance of 1e-12 and can exceed it by roundoff. That band is left out.
+# tolerance of 1e-12 and can exceed it by roundoff. That band is left out
+# of the draws, and test_pd_checks_hold_at_the_weight_cutoff holds its
+# failure in view.
 _PD_CUTOFF_BAND = (4.999e-13, 5.001e-13)
 
 
@@ -70,3 +73,14 @@ def test_gad_checks_beyond_tau_12_except_the_lambda_references(thetas, omegas, t
 @example(times=[0.0, 5e-324, 1e-300, 1e3])
 def test_pd_checks_hold_from_t_0_to_1e3(times):
     assert _failed(pd_checks(times)) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: the pd Choi checks have no margin where the "
+    "dephasing weight meets the 1e-12 weight cutoff",
+)
+def test_pd_checks_hold_at_the_weight_cutoff():
+    # 1 - e^(-2t) = 1e-12 here: the pipeline drops that weight, and the
+    # distance to the closed set is 1.0000009e-12 against the tolerance 1e-12
+    assert _failed(pd_checks([5e-13])) == []
