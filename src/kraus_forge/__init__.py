@@ -5,8 +5,6 @@ pipeline, with closed-form references and Bloch-sphere diagnostics."""
 from .bloch import (
     AffineBlochMap,
     bloch_map,
-    bloch_volume,
-    ellipsoid_semiaxes,
     sample_ellipsoid,
     spherical_grid,
     volume_rate,
@@ -34,8 +32,6 @@ from .gad import (
     gad_F_closed,
     gad_L,
     gad_L_scaled,
-    gad_bloch_rates,
-    gad_bloch_scaled,
     gad_choi_eigenvalues,
     gad_generator,
     gad_kraus_asymptotic,
@@ -56,7 +52,6 @@ from .kraus import (
     choi_from_propagator,
     identity_kraus_set,
     kraus_from_choi,
-    kraus_set_from_dict,
     kraus_set_to_dict,
     kraus_to_choi,
     propagate,

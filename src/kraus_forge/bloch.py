@@ -1,8 +1,8 @@
 """Affine Bloch-sphere action of a channel: ellipsoid images and volume decay.
 
-A qubit channel acts on Bloch vectors as n -> M n + b. The image of the
-unit sphere is an ellipsoid whose semi-axes are the singular values of M;
-for the damping channels here the volume shrinks exponentially.
+A qubit channel acts on Bloch vectors as n -> M n + b, read off its
+propagator. The image of the unit sphere is an ellipsoid, sampled on a
+(u, v) grid; for GAD its volume shrinks at a closed-form relative rate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteKrausSet
-from .gad import GadRates, GadScaled
+from .gad import GadRates
 from .kraus import KrausSet, _operator_propagators, completeness_residuals, operator_stack
 
 
@@ -33,9 +33,6 @@ class AffineBlochMap:
         shift.flags.writeable = False
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "shift", shift)
-
-    def __call__(self, direction: np.ndarray) -> np.ndarray:
-        return self.linear @ np.asarray(direction, dtype=float) + self.shift
 
 
 def bloch_map(kset: KrausSet) -> AffineBlochMap:
@@ -81,16 +78,6 @@ def grid_directions(uv: np.ndarray) -> np.ndarray:
 def sample_ellipsoid(bmap: AffineBlochMap, grid: tuple[int, int]) -> np.ndarray:
     """Image points of the unit-sphere grid under the affine map, (N, 3)."""
     return grid_directions(spherical_grid(*grid)) @ bmap.linear.T + bmap.shift
-
-
-def ellipsoid_semiaxes(bmap: AffineBlochMap) -> np.ndarray:
-    """Semi-axes of the image ellipsoid: singular values of M, descending."""
-    return np.linalg.svd(bmap.linear, compute_uv=False)
-
-
-def bloch_volume(scaled: GadScaled) -> float:
-    """Bloch-ball image volume (4 pi / 3) e^(-4 tau) for the damping channel."""
-    return (4.0 * math.pi / 3.0) * math.exp(-4.0 * scaled.tau)
 
 
 def volume_rate(rates: GadRates, t: float) -> float:

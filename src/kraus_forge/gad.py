@@ -80,14 +80,11 @@ class ReferenceGadParams:
     """Parameters of the thermal reference Kraus set.
 
     ``lambda_t`` is the accumulated damping weight in [0, 1] and ``p`` the
-    emission branch weight in [0, 1]; ``n_th``/``gamma0`` are optional
-    thermal-occupation metadata recorded when constructed from physics.
+    emission branch weight in [0, 1].
     """
 
     lambda_t: float
     p: float
-    n_th: float | None = None
-    gamma0: float | None = None
 
     def __post_init__(self) -> None:
         lam, p = float(self.lambda_t), float(self.p)
@@ -99,23 +96,9 @@ class ReferenceGadParams:
         object.__setattr__(self, "p", p)
 
     @classmethod
-    def from_thermal(cls, n_th: float, gamma0: float, t: float) -> "ReferenceGadParams":
-        """From thermal occupation, bare decay rate, and elapsed time."""
-        if n_th < 0.0:
-            raise ValueError(f"n_th must be >= 0, got {n_th}")
-        if gamma0 < 0.0 or t < 0.0:
-            raise ValueError("gamma0 and t must be >= 0")
-        lam = -math.expm1(-gamma0 * (2.0 * n_th + 1.0) * t)
-        p = (n_th + 1.0) / (2.0 * n_th + 1.0)
-        return cls(lam, p, n_th=float(n_th), gamma0=float(gamma0))
-
-    @classmethod
     def from_scaled(cls, scaled: GadScaled) -> "ReferenceGadParams":
         """Bridge from scaled parameters: p = (2 - omega)/4, lambda = 1 - e^(-2 tau)."""
-        lam = -math.expm1(-2.0 * scaled.tau)
-        p = (2.0 - scaled.omega) / 4.0
-        n_th = -(2.0 + scaled.omega) / (2.0 * scaled.omega)
-        return cls(lam, p, n_th=n_th)
+        return cls(-math.expm1(-2.0 * scaled.tau), (2.0 - scaled.omega) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -358,45 +341,6 @@ def compose_z_rotation(kset: KrausSet, angle: float) -> KrausSet:
          [0.0, complex(math.cos(half), math.sin(half))]]
     )
     return KrausSet(tuple(rotation @ op for op in kset.operators), kset.weights)
-
-
-def gad_bloch_scaled(scaled: GadScaled, u: float, v: float) -> np.ndarray:
-    """Bloch vector after the channel, from the initial direction (u, v).
-
-    The equator rotates by theta*tau while shrinking by e^(-tau); the axis
-    relaxes toward the fixed point z = omega/2 at twice the rate.
-    """
-    theta, omega, tau = scaled.theta, scaled.omega, scaled.tau
-    decay = math.exp(-tau)
-    e2 = math.exp(-2.0 * tau)
-    phase = u + theta * tau
-    sin_v = math.sin(v)
-    return np.array(
-        [
-            decay * sin_v * math.cos(phase),
-            decay * sin_v * math.sin(phase),
-            -0.5 * omega * math.expm1(-2.0 * tau) + e2 * math.cos(v),
-        ]
-    )
-
-
-def gad_bloch_rates(rates: GadRates, t: float, u: float, v: float) -> np.ndarray:
-    """Same Bloch solution written in physical-rate variables.
-
-    Kept independent of the scaled form so the two can cross-check each
-    other: the rotation angle is 2 x t, the equatorial decay e^(-(y+z)t/2),
-    and the axis relaxes toward (z - y)/(y + z).
-    """
-    x, y, z = rates.x, rates.y, rates.z
-    total = y + z
-    decay = math.exp(-0.5 * total * t)
-    full = math.exp(-total * t)
-    phase = u + 2.0 * x * t
-    sin_v = math.sin(v)
-    axis = ((z - y) * (1.0 - full) + full * total * math.cos(v)) / total
-    return np.array(
-        [decay * sin_v * math.cos(phase), decay * sin_v * math.sin(phase), axis]
-    )
 
 
 def rates_from_physics(bath: BathSpectrum, x: float = 0.0) -> GadRates:

@@ -5,6 +5,10 @@ into the Choi matrix S over the Hermitian operator basis, diagonalize S,
 and assemble one Kraus operator per positive eigenvalue. Channel equality
 is always decided at the Choi level, never by comparing raw operators:
 distinct Kraus sets related by unitary mixing describe the same channel.
+
+``kraus_set_to_dict`` writes one set as a JSON-ready document with its
+diagnostics; ``derive`` renders that document for every point of a stack
+straight from the arrays.
 """
 
 from __future__ import annotations
@@ -278,39 +282,15 @@ def kraus_diagnostics(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return completeness_residuals(operators), hermitian_eig(_operator_choi(operators))[0]
 
 
-def _kraus_dicts(operators: np.ndarray, weights: np.ndarray, kept: np.ndarray) -> list[dict]:
-    # operators (k, m, 2, 2) and weights (k, m); member k uses its first
-    # kept[k] of them, and the rest are zero
-    residuals, rebuilt = kraus_diagnostics(operators)
-    pairs = np.stack([operators.real, operators.imag], axis=-1).tolist()
-    return [
-        {
-            "operators": ops[:n],
-            "weights": w[:n],
-            "diagnostics": {"completeness_residual": r, "choi_eigenvalues": d},
-        }
-        for ops, w, n, r, d in zip(
-            pairs, weights.tolist(), kept.tolist(), residuals.tolist(), rebuilt.tolist()
-        )
-    ]
-
-
-def kraus_stack_to_dicts(stack: KrausStack) -> list[dict]:
-    """JSON-ready documents of every member's Kraus set, as kraus_set_to_dict."""
-    return _kraus_dicts(stack.operators, stack.values, stack.kept)
-
-
 def kraus_set_to_dict(kset: KrausSet) -> dict:
     """JSON-ready document: operators as [re, im] pairs plus diagnostics."""
-    weights = np.array([kset.weights])
-    return _kraus_dicts(operator_stack([kset]), weights, np.array([len(kset)]))[0]
-
-
-def kraus_set_from_dict(doc: dict) -> KrausSet:
-    """Rebuild a KrausSet from its JSON document."""
-    operators = tuple(
-        np.array([[complex(re, im) for re, im in row] for row in op])
-        for op in doc["operators"]
-    )
-    weights = tuple(float(w) for w in doc["weights"]) if "weights" in doc else None
-    return KrausSet(operators, weights)
+    operators = operator_stack([kset])
+    residuals, rebuilt = kraus_diagnostics(operators)
+    return {
+        "operators": np.stack([operators[0].real, operators[0].imag], axis=-1).tolist(),
+        "weights": list(kset.weights),
+        "diagnostics": {
+            "completeness_residual": float(residuals[0]),
+            "choi_eigenvalues": rebuilt[0].tolist(),
+        },
+    }

@@ -23,14 +23,9 @@ from kraus_forge import pd as pd_mod
 from kraus_forge.bloch import spherical_grid
 from kraus_forge.cli import main
 from kraus_forge.errors import KrausForgeError
-from kraus_forge.kraus import (
-    choi_distance,
-    kraus_set_from_dict,
-    kraus_stack,
-    kraus_stack_to_dicts,
-    propagate,
-)
+from kraus_forge.kraus import choi_distance, kraus_set_to_dict, kraus_stack, propagate
 from kraus_forge.linalg import SIGMA_I, SIGMA_Z
+from references import kraus_set_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -944,7 +939,8 @@ def _derive_cases(draw):
 
 def _reference_document(channel, param, times):
     # the document as derive built it before it rendered points from the
-    # arrays: a dict tree of kraus_stack_to_dicts, encoded by json.dumps
+    # arrays: a dict tree with kraus_set_to_dict of each point's Kraus set,
+    # encoded by json.dumps
     taus = times
     if channel == "pd":
         params = pd_mod.PdParams(param["rate"])
@@ -959,9 +955,9 @@ def _reference_document(channel, param, times):
         route = {"rates": {"x": rates.x, "y": rates.y, "z": rates.z}}
     stack = kraus_stack(propagate(generator, times))
     points = []
-    for t, tau, kraus_doc, values in zip(
-        times.tolist(), taus.tolist(), kraus_stack_to_dicts(stack), stack.values.tolist()
-    ):
+    rows = zip(times.tolist(), taus.tolist(), stack.values.tolist())
+    for k, (t, tau, values) in enumerate(rows):
+        kraus_doc = kraus_set_to_dict(stack.kraus_set(k))
         point = {
             "t": t,
             "kraus": kraus_doc,

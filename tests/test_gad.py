@@ -19,8 +19,6 @@ from kraus_forge.gad import (
     compose_z_rotation,
     gad_F_closed,
     gad_L,
-    gad_bloch_rates,
-    gad_bloch_scaled,
     gad_choi_eigenvalues,
     gad_generator,
     gad_kraus_asymptotic,
@@ -44,6 +42,7 @@ from kraus_forge.kraus import (
 from kraus_forge.lindblad import build_L
 from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z, hermitian_eig
 from kraus_forge.pd import pd_rate_from_physics
+from references import gad_bloch_rates, gad_bloch_scaled
 
 scaled_params = st.builds(
     GadScaled,
@@ -394,15 +393,15 @@ def test_reference_bridge_matches_closed_kraus():
             assert choi_distance(reference, gad_kraus_closed(scaled)) < 1e-9
 
 
-def test_reference_params_from_thermal():
-    params = ReferenceGadParams.from_thermal(n_th=0.5, gamma0=1.0, t=0.5)
+def test_reference_params_from_scaled_values():
+    # omega = -2/(2 n + 1) = -1 is n = 1/2: p = (n + 1)/(2 n + 1) = 3/4
+    params = ReferenceGadParams.from_scaled(GadScaled(0.0, -1.0, 0.5))
     assert params.p == pytest.approx(0.75)
     assert params.lambda_t == pytest.approx(1 - math.exp(-1.0))
-    # omega = -2/(2 n + 1) = -1 maps to the same p through the bridge
-    bridged = ReferenceGadParams.from_scaled(GadScaled(0.0, -1.0, 0.5))
-    assert bridged.p == pytest.approx(params.p)
-    assert bridged.lambda_t == pytest.approx(params.lambda_t)
-    assert bridged.n_th == pytest.approx(0.5)
+    # zero temperature emits only; omega -> 0 is an infinitely hot bath
+    assert ReferenceGadParams.from_scaled(GadScaled(0.0, -2.0, 1.0)).p == 1.0
+    assert ReferenceGadParams.from_scaled(GadScaled(0.0, -5e-324, 1.0)).p == 0.5
+    assert ReferenceGadParams.from_scaled(GadScaled(0.0, -1.0, 0.0)).lambda_t == 0.0
 
 
 def test_rotated_reference_matches_rotating_channel():
