@@ -38,6 +38,7 @@ class ConfigError(Exception):
 # ----------------------------------------------------------------------
 
 _GAD_PHYSICAL_KEYS = ("alpha", "omega0", "cutoff", "temperature")
+_PARAM_NUMBERS = ("theta", "omega", "tau", *_GAD_PHYSICAL_KEYS, "x", "y", "z", "rate")
 
 
 @dataclass
@@ -79,9 +80,16 @@ def _section(cfg_file: dict, key: str) -> dict:
     return section
 
 
+def _not_bool(value, what: str):
+    # float() reads a JSON true or false as 1 or 0; neither is a number here
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _finite(value, what: str) -> float:
     try:
-        number = float(value)
+        number = float(_not_bool(value, what))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
@@ -158,10 +166,11 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
     if kinds:
         param["kind"] = kinds[0]
 
-    for key in ("theta", "omega", "tau", "alpha", "omega0", "cutoff", "temperature", "x", "y", "z", "rate"):
+    for key in _PARAM_NUMBERS:
         value = getattr(args, key)
         if value is not None:
             param[key] = value
+        _not_bool(param.get(key), key)
     if args.shift:
         param["shift"] = True
 
@@ -521,6 +530,10 @@ def cmd_figure(cfg: RunConfig) -> int:
             ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # %g keeps six significant digits, so distinct values can share a name
+    if len(set(names)) < len(names):
+        name = next(name for name in names if names.count(name) > 1)
+        raise ConfigError(f"two frames would write the same file {name}")
     # each file is one %-template filled with its table, row by row
     if cfg.figure == "bloch3d":
         header = "u,v,x,y,z\r\n"

@@ -582,6 +582,13 @@ _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times",
         (*_BLOCH3D, "--alpha", "-1e-3"),
         # an empty list, which would write an empty directory
         (*_BLOCH3D, "--times", ","),
+        # values equal to six significant digits would write one file twice
+        (*_BLOCH3D, "--times", "0.1,0.1000001"),
+        (*_BLOCH3D, "--temperatures", "100,100"),
+        ("figure", "--figure", "volume_rate", "--temperatures", "100,100.0000001",
+         "--t-start", "0", "--t-end", "1", "--steps", "3"),
+        ("figure", "--figure", "volume_rate", "--temperatures", "100,100",
+         "--t-start", "0", "--t-end", "1", "--steps", "3"),
     ],
 )
 def test_figure_rejects_bad_input_before_writing(capsys, tmp_path, argv):
@@ -873,6 +880,13 @@ def test_negative_exponent_number_is_an_option_value(capsys):
         # a step count is not truncated to an integer
         (("derive", "--channel", "pd", "--rate", "1"),
          {"time_grid": {"start": 0, "end": 1, "steps": 2.5}}),
+        # a JSON boolean is not a number, though float() reads it as one
+        (("verify", "--channel", "gad"), {"tolerances": {"gad_choi_spectrum": True}}),
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), {"weight_cutoff": False}),
+        (("figure", "--figure", "volume_rate", "--temperatures", "100",
+          "--t-start", "0", "--t-end", "1", "--steps", "3"), {"bath": {"alpha": True}}),
+        (("derive", "--channel", "pd", "--t", "1"),
+         {"parameterization": {"kind": "rates", "rate": True}}),
     ],
 )
 def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
@@ -885,6 +899,19 @@ def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_config_file_shift_true_is_the_shift_flag(capsys, tmp_path):
+    # "shift" is the one parameterization key that is a boolean
+    bath = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"parameterization": {"kind": "physical", "shift": True, **bath}}))
+    argv = ("derive", "--channel", "gad", "--t", "0.3")
+    code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+    flags = [f"--{key}={value}" for key, value in bath.items()]
+    code_flags, out_flags, _ = run_cli(capsys, *argv, "--physical", "--shift", *flags)
+    assert code == code_flags == 0
+    assert json.loads(out)["points"] == json.loads(out_flags)["points"]
 
 
 def test_non_finite_point_exits_3_without_writing(capsys, tmp_path, monkeypatch):
