@@ -8,25 +8,22 @@ propagator. The image of the unit sphere is an ellipsoid, sampled on a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteKrausSet
+from .errors import FrozenRecord, IncompleteKrausSet
 from .gad import GadRates
 from .kraus import KrausSet, _operator_propagators, completeness_residuals, operator_stack
 
 
-@dataclass(frozen=True)
-class AffineBlochMap:
+class AffineBlochMap(FrozenRecord):
     """Linear part M (3x3) and shift b (3,) acting on Bloch vectors."""
 
-    linear: np.ndarray
-    shift: np.ndarray
+    __slots__ = ("linear", "shift")
 
-    def __post_init__(self) -> None:
-        linear = np.array(self.linear, dtype=float)
-        shift = np.array(self.shift, dtype=float)
+    def __init__(self, linear: np.ndarray, shift: np.ndarray) -> None:
+        linear = np.array(linear, dtype=float)
+        shift = np.array(shift, dtype=float)
         if linear.shape != (3, 3) or shift.shape != (3,):
             raise ValueError("expected a 3x3 linear part and a 3-vector shift")
         linear.flags.writeable = False

@@ -9,7 +9,6 @@ byte-identical output files.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -17,8 +16,9 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from . import gad as gad_mod
 from . import pd as pd_mod
 from .errors import KrausForgeError
 from .kraus import WEIGHT_CUTOFF, KrausStack, kraus_diagnostics, kraus_stack, propagate
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class ConfigError(Exception):
@@ -41,22 +44,22 @@ _GAD_PHYSICAL_KEYS = ("alpha", "omega0", "cutoff", "temperature")
 _PARAM_NUMBERS = ("theta", "omega", "tau", *_GAD_PHYSICAL_KEYS, "x", "y", "z", "rate")
 
 
-@dataclass
 class RunConfig:
     """Merged view of config-file values and command-line flags."""
 
-    channel: str = "gad"
-    parameterization: dict = field(default_factory=dict)
-    times: list[float] = field(default_factory=list)
-    output: str | None = None
-    weight_cutoff: float = WEIGHT_CUTOFF
-    # verify-specific
-    tolerances: dict[str, float] = field(default_factory=dict)
-    tol_override: float | None = None
-    # figure-specific
-    figure: str | None = None
-    temperatures: list[float] = field(default_factory=list)
-    grid: tuple[int, int] = (24, 12)
+    def __init__(self, output: str | None = None) -> None:
+        self.channel = "gad"
+        self.parameterization: dict = {}
+        self.times: list[float] = []
+        self.output = output
+        self.weight_cutoff = WEIGHT_CUTOFF
+        # verify-specific
+        self.tolerances: dict[str, float] = {}
+        self.tol_override: float | None = None
+        # figure-specific
+        self.figure: str | None = None
+        self.temperatures: list[float] = []
+        self.grid = (24, 12)
 
 
 def _load_config_file(path: str) -> dict:
@@ -125,7 +128,7 @@ def _grid(value) -> tuple[int, int]:
     return n_u, n_v
 
 
-def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> list[float]:
+def _resolve_times(cfg_file: dict, args: SimpleNamespace, param: dict) -> list[float]:
     if getattr(args, "t", None) is not None:
         return [_finite(args.t, "t")]
     # for the scaled parameterization the time variable is tau itself
@@ -154,7 +157,7 @@ def _resolve_times(cfg_file: dict, args: argparse.Namespace, param: dict) -> lis
     return list(np.linspace(start, end, steps))
 
 
-def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel: str) -> dict:
+def _resolve_parameterization(cfg_file: dict, args: SimpleNamespace, channel: str) -> dict:
     param = dict(_section(cfg_file, "parameterization"))
     kinds = [
         kind
@@ -173,6 +176,10 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
         _not_bool(param.get(key), key)
     if args.shift:
         param["shift"] = True
+    # "shift" is the one boolean key; a null counts as absent, as for the numbers
+    shift = param.get("shift")
+    if shift is not None and not isinstance(shift, bool):
+        raise ConfigError(f"shift must be true or false, got {json.dumps(shift)}")
 
     if "kind" not in param:
         # infer from which flags are present
@@ -206,7 +213,7 @@ def _resolve_parameterization(cfg_file: dict, args: argparse.Namespace, channel:
     return param
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: SimpleNamespace) -> RunConfig:
     """Read the config file and the flags of one subcommand; other keys are ignored."""
     for flag in ("config", "output"):
         # argparse 3.11 and 3.12 read "--opt=--" as [], 3.13 as "--"; a file
@@ -565,19 +572,6 @@ def cmd_figure(cfg: RunConfig) -> int:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads ``-6.5e-06`` as a negative number.
-
-    argparse's own pattern has no exponent, so ``--omega -6.5e-06`` would
-    take ``-6.5e-06`` for an option. No option of this CLI looks like a
-    number, so the wider pattern is unambiguous. Subparsers inherit the class.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-
 _COMMON_OPTIONS = (
     ("--config", {"help": "JSON config file; flags override its values"}),
     ("--output", {"help": "output path ('-' for stdout)"}),
@@ -633,6 +627,21 @@ _SUBCOMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's whole argparse tree, for help, errors and argv the reader declines."""
+    # imported here: a well-formed argv is read without argparse
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """ArgumentParser that reads ``-6.5e-06`` as a negative number.
+
+        argparse's own pattern has no exponent, so ``--omega -6.5e-06`` would
+        take ``-6.5e-06`` for an option. No option of this CLI looks like a
+        number, so the wider pattern is unambiguous. Subparsers inherit the class.
+        """
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # the terminal is measured once here, not by each add_argument's formatter
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
@@ -650,12 +659,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dest(flag: str) -> str:
+def _reader_table(options: tuple) -> tuple[dict, dict]:
+    """A subcommand's flags, each with its attribute and keywords, and their defaults."""
     # the attribute argparse names after a long flag
-    return flag[2:].replace("-", "_")
+    flags = {flag: (flag[2:].replace("-", "_"), kwargs) for flag, kwargs in options}
+    defaults = {
+        dest: kwargs.get("default", False if "action" in kwargs else None)
+        for dest, kwargs in flags.values()
+    }
+    return flags, defaults
 
 
-def _read_options(command: str, words: list[str]) -> argparse.Namespace | None:
+_READER = {command: _reader_table(options) for command, (_, options) in _SUBCOMMANDS.items()}
+
+
+def _read_options(command: str, words: list[str]) -> SimpleNamespace | None:
     """The namespace argparse gives ``command``'s ``words``, read from the table.
 
     Only exact long flags are read, as ``--opt value`` or ``--opt=value``;
@@ -663,16 +681,15 @@ def _read_options(command: str, words: list[str]) -> argparse.Namespace | None:
     number. Anything else, a value of ``--``, and a value that fails its
     type or choices give None, and argparse reads the words instead.
     """
-    options = dict(_SUBCOMMANDS[command][1])
-    values = {"command": command}
-    for flag, kwargs in options.items():
-        values[_dest(flag)] = kwargs.get("default", False if "action" in kwargs else None)
+    flags, defaults = _READER[command]
+    values = {"command": command, **defaults}
     words = iter(words)
     for word in words:
         flag, equals, value = word.partition("=")
-        kwargs = options.get(flag)
-        if kwargs is None:
+        entry = flags.get(flag)
+        if entry is None:
             return None
+        dest, kwargs = entry
         # the table's only action is store_true
         if "action" in kwargs:
             if equals:
@@ -695,11 +712,11 @@ def _read_options(command: str, words: list[str]) -> argparse.Namespace | None:
                 return None
             if "choices" in kwargs and value not in kwargs["choices"]:
                 return None
-        values[_dest(flag)] = value
-    return argparse.Namespace(**values)
+        values[dest] = value
+    return SimpleNamespace(**values)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace the whole tree gives ``argv``, read without it when well formed.
 
     The argparse tree is built only where the reader declines ``argv``, so

@@ -16,31 +16,27 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import FrozenRecord, QuadratureFailure
 from .kraus import KrausSet, identity_kraus_set
 from .lindblad import LindbladGenerator
 from .linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 
 
-@dataclass(frozen=True)
-class GadRates:
+class GadRates(FrozenRecord):
     """Physical rates: Hamiltonian shift x, emission y, absorption z (1/time).
 
     Requires y > z >= 0; emission always dominates absorption for a thermal
     bath, and the scaled omega = -2(y - z)/(y + z) then lands in [-2, 0).
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        x, y, z = float(self.x), float(self.y), float(self.z)
+    def __init__(self, x: float, y: float, z: float) -> None:
+        x, y, z = float(x), float(y), float(z)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("rates must be finite")
         if not y > z >= 0.0:
@@ -50,20 +46,17 @@ class GadRates:
         object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class GadScaled:
+class GadScaled(FrozenRecord):
     """Dimensionless channel parameters (theta, omega, tau).
 
     Forward evolution only: tau < 0 would correspond to a non-completely-
     positive map and is rejected.
     """
 
-    theta: float
-    omega: float
-    tau: float
+    __slots__ = ("theta", "omega", "tau")
 
-    def __post_init__(self) -> None:
-        theta, omega, tau = float(self.theta), float(self.omega), float(self.tau)
+    def __init__(self, theta: float, omega: float, tau: float) -> None:
+        theta, omega, tau = float(theta), float(omega), float(tau)
         if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(tau)):
             raise ValueError("scaled parameters must be finite")
         if not -2.0 <= omega < 0.0:
@@ -75,19 +68,17 @@ class GadScaled:
         object.__setattr__(self, "tau", tau)
 
 
-@dataclass(frozen=True)
-class ReferenceGadParams:
+class ReferenceGadParams(FrozenRecord):
     """Parameters of the thermal reference Kraus set.
 
     ``lambda_t`` is the accumulated damping weight in [0, 1] and ``p`` the
     emission branch weight in [0, 1].
     """
 
-    lambda_t: float
-    p: float
+    __slots__ = ("lambda_t", "p")
 
-    def __post_init__(self) -> None:
-        lam, p = float(self.lambda_t), float(self.p)
+    def __init__(self, lambda_t: float, p: float) -> None:
+        lam, p = float(lambda_t), float(p)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda_t must lie in [0, 1], got {lam}")
         if not 0.0 <= p <= 1.0:
@@ -101,8 +92,7 @@ class ReferenceGadParams:
         return cls(-math.expm1(-2.0 * scaled.tau), (2.0 - scaled.omega) / 4.0)
 
 
-@dataclass(frozen=True)
-class BathSpectrum:
+class BathSpectrum(FrozenRecord):
     """Bosonic bath description: coupling, qubit splitting, cutoff, temperature.
 
     The spectral density is ohmic with an exponential cutoff,
@@ -110,18 +100,21 @@ class BathSpectrum:
     frequencies.
     """
 
-    alpha: float
-    omega0: float
-    omega_c: float
-    temperature: float
+    __slots__ = ("alpha", "omega0", "omega_c", "temperature")
 
-    def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.omega0 <= 0.0 or self.omega_c <= 0.0:
+    def __init__(
+        self, alpha: float, omega0: float, omega_c: float, temperature: float
+    ) -> None:
+        if alpha < 0.0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if omega0 <= 0.0 or omega_c <= 0.0:
             raise ValueError("omega0 and omega_c must be > 0")
-        if self.temperature < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if temperature < 0.0:
+            raise ValueError(f"temperature must be >= 0, got {temperature}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "omega_c", omega_c)
+        object.__setattr__(self, "temperature", temperature)
 
 
 def spectral_density(bath: BathSpectrum, omega):
@@ -364,7 +357,25 @@ class ShiftEstimate(NamedTuple):
     delta_prime_error: float
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+# the 40-node Gauss-Legendre rule on [-1, 1], as numpy's leggauss(40) gives
+# it bit for bit; both are symmetric, so the positive half is written out
+_GL_HALF_NODES = (
+    0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+    0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+    0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+    0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+    0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591,
+)
+_GL_HALF_WEIGHTS = (
+    0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+    0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+    0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+    0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+    0.022245849194166653, 0.016421058381906828, 0.010498284531153814,
+    0.004521277098536349,
+)
+_GL_NODES = np.array([-node for node in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
 
 
 def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float]) -> float:

@@ -13,12 +13,12 @@ straight from the arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    FrozenRecord,
     IncompleteKrausSet,
     InvalidState,
     NegativeTime,
@@ -42,8 +42,7 @@ _TRACE_TENSOR = np.einsum("rab,nbc,scd,mda->rnsm", _G, _G, _G, _G)
 _TRACE_TENSOR.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(FrozenRecord):
     """Ordered Kraus operators with the eigenvalue weights they came from.
 
     ``weights`` defaults to tr(E^dag E) per operator, which equals the Choi
@@ -51,12 +50,13 @@ class KrausSet:
     At most four operators are allowed for a qubit channel.
     """
 
-    operators: tuple[np.ndarray, ...]
-    weights: tuple[float, ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("operators", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, operators: tuple[np.ndarray, ...], weights: tuple[float, ...] | None = None
+    ) -> None:
         ops = []
-        for op in self.operators:
+        for op in operators:
             arr = np.array(op, dtype=complex)
             if arr.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {arr.shape}")
@@ -66,10 +66,10 @@ class KrausSet:
             raise ValueError("a Kraus set needs at least one operator")
         if len(ops) > 4:
             raise ValueError(f"a qubit channel has at most 4 Kraus operators, got {len(ops)}")
-        if self.weights is None:
+        if weights is None:
             weights = tuple(float(np.trace(op.conj().T @ op).real) for op in ops)
         else:
-            weights = tuple(float(w) for w in self.weights)
+            weights = tuple(float(w) for w in weights)
             if len(weights) != len(ops):
                 raise ValueError("weights and operators must have equal length")
         object.__setattr__(self, "operators", tuple(ops))

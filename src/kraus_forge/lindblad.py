@@ -11,11 +11,9 @@ the exact propagator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import NonHermitianInput, NonRealGeneratorMatrix
+from .errors import FrozenRecord, NonHermitianInput, NonRealGeneratorMatrix
 from .linalg import hermitian_basis, max_nonhermiticity
 
 
@@ -32,32 +30,32 @@ def _as_qubit_operator(value, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LindbladGenerator:
+class LindbladGenerator(FrozenRecord):
     """Hamiltonian part plus weighted jump terms of a constant generator.
 
     ``jumps`` is a sequence of ``(rate, jump_operator)`` pairs with
     nonnegative rates. The Hamiltonian must be Hermitian within 1e-12.
     """
 
-    hamiltonian: np.ndarray
-    jumps: tuple[tuple[float, np.ndarray], ...] = field(default_factory=tuple)
+    __slots__ = ("hamiltonian", "jumps")
 
-    def __post_init__(self) -> None:
-        h = _as_qubit_operator(self.hamiltonian, "hamiltonian")
+    def __init__(
+        self, hamiltonian: np.ndarray, jumps: tuple[tuple[float, np.ndarray], ...] = ()
+    ) -> None:
+        h = _as_qubit_operator(hamiltonian, "hamiltonian")
         dev = max_nonhermiticity(h)
         if dev > 1e-12:
             raise NonHermitianInput(
                 f"hamiltonian deviates from Hermiticity by {dev:.3e}"
             )
-        jumps = []
-        for rate, op in self.jumps:
+        checked = []
+        for rate, op in jumps:
             rate = float(rate)
             if not np.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"jump rates must be finite and >= 0, got {rate}")
-            jumps.append((rate, _as_qubit_operator(op, "jump operator")))
+            checked.append((rate, _as_qubit_operator(op, "jump operator")))
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", tuple(jumps))
+        object.__setattr__(self, "jumps", tuple(checked))
 
 
 def apply_generator(gen: LindbladGenerator, operator: np.ndarray) -> np.ndarray:

@@ -8,25 +8,23 @@ the pointer basis of the process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTime
+from .errors import FrozenRecord, NegativeTime
 from .gad import BathSpectrum
 from .kraus import KrausSet
 from .lindblad import LindbladGenerator
 from .linalg import SIGMA_I, SIGMA_Z
 
 
-@dataclass(frozen=True)
-class PdParams:
+class PdParams(FrozenRecord):
     """Dephasing rate (1/time), nonnegative."""
 
-    r: float
+    __slots__ = ("r",)
 
-    def __post_init__(self) -> None:
-        r = float(self.r)
+    def __init__(self, r: float) -> None:
+        r = float(r)
         if not math.isfinite(r) or r < 0.0:
             raise ValueError(f"dephasing rate must be finite and >= 0, got {r}")
         object.__setattr__(self, "r", r)

@@ -863,6 +863,10 @@ def test_negative_exponent_number_is_an_option_value(capsys):
     assert run_cli(capsys, *argv, "--omega=-6.5e-06") == (0, spaced, "")
 
 
+# a physical GAD bath, as config keys and as the flags of the same names
+_BATH = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -887,6 +891,10 @@ def test_negative_exponent_number_is_an_option_value(capsys):
           "--t-start", "0", "--t-end", "1", "--steps", "3"), {"bath": {"alpha": True}}),
         (("derive", "--channel", "pd", "--t", "1"),
          {"parameterization": {"kind": "rates", "rate": True}}),
+        # "shift" is a JSON boolean, not read by truthiness
+        *((("derive", "--channel", "gad", "--t", "1"),
+           {"parameterization": {"kind": "physical", "shift": value, **_BATH}})
+          for value in ("false", 0, 1, [])),
     ],
 )
 def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
@@ -903,15 +911,36 @@ def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
 
 def test_config_file_shift_true_is_the_shift_flag(capsys, tmp_path):
     # "shift" is the one parameterization key that is a boolean
-    bath = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"parameterization": {"kind": "physical", "shift": True, **bath}}))
+    config.write_text(json.dumps({"parameterization": {"kind": "physical", "shift": True, **_BATH}}))
     argv = ("derive", "--channel", "gad", "--t", "0.3")
     code, out, _ = run_cli(capsys, *argv, "--config", str(config))
-    flags = [f"--{key}={value}" for key, value in bath.items()]
+    flags = [f"--{key}={value}" for key, value in _BATH.items()]
     code_flags, out_flags, _ = run_cli(capsys, *argv, "--physical", "--shift", *flags)
     assert code == code_flags == 0
     assert json.loads(out)["points"] == json.loads(out_flags)["points"]
+
+
+def test_config_file_shift_error_names_the_value(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"parameterization": {"kind": "physical", "shift": "false", **_BATH}}))
+    code, out, err = run_cli(capsys, "derive", "--channel", "gad", "--t", "0.3", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == 'config error: shift must be true or false, got "false"\n'
+
+
+@pytest.mark.parametrize("shift", [False, None])
+def test_config_file_shift_false_or_null_is_no_shift(capsys, tmp_path, shift):
+    argv = ("derive", "--channel", "gad", "--t", "0.3")
+    points = []
+    for param in ({"kind": "physical", **_BATH}, {"kind": "physical", "shift": shift, **_BATH}):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"parameterization": param}))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+        assert code == 0
+        points.append(json.loads(out)["points"])
+    assert points[0] == points[1]
+    assert points[0][0]["rates"]["x"] == 0.0
 
 
 def test_non_finite_point_exits_3_without_writing(capsys, tmp_path, monkeypatch):
@@ -1046,6 +1075,32 @@ def test_runtime_imports_numpy_and_nothing_else_outside_the_stdlib():
     run = _fresh_python("-c", _IMPORT_SCRIPT)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == ["kraus_forge", "numpy"]
+
+
+_COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+before = set(sys.modules)
+import kraus_forge.cli
+imported = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kraus_forge.cli.main(sys.argv[1:])
+called = set(sys.modules) - before - imported
+print(json.dumps([code, sorted(imported), sorted(called)]))
+"""
+
+
+def test_cli_import_and_a_derive_call_load_no_dataclasses_polynomial_or_argparse():
+    # modules the CLI import and a well-formed call need not load after numpy
+    argv = ["derive", "--channel", "gad", "--physical", "--alpha", "0.02", "--omega0", "10",
+            "--cutoff", "15", "--temperature", "100", "--shift", "--t", "0.3"]
+    run = _fresh_python("-c", _COLD_START_SCRIPT, *argv)
+    assert run.returncode == 0, run.stderr
+    code, imported, called = json.loads(run.stdout)
+    assert code == 0
+    unused = ("dataclasses", "numpy.polynomial", "argparse")
+    for loaded in (imported, called):
+        assert [name for name in loaded if name.startswith(unused)] == []
 
 
 def test_readme_library_block_runs():

@@ -543,6 +543,13 @@ def test_lamb_stark_self_convergence():
     assert shifts.delta == pytest.approx(-reference, abs=1e-8)
 
 
+def test_gauss_legendre_table_is_leggauss_40_bit_for_bit():
+    # the literal rule stands in for numpy.polynomial, which the package no longer imports
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    assert gad_mod._GL_NODES.tobytes() == nodes.tobytes()
+    assert gad_mod._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def _gauss_panels_per_panel(f, edges):
     # the quadrature as one integrand call per panel: the bitwise reference
     total = 0.0

@@ -308,7 +308,10 @@ def _reference_eig(matrix):
     # that brings its largest entry into [1/2, 1), and the spectrum scaled back
     shift = np.frexp(max(np.abs(ar).max(), np.abs(ai).max()))[1]
     if not 2.0**-500 <= scale <= 2.0**500 and shift:
-        values, vectors = _reference_eig(np.ldexp(ar, -shift) + 1j * np.ldexp(ai, -shift))
+        # parts set one by one: x + 1j * y would turn a real -0.0 into +0.0
+        scaled = np.empty(ar.shape, dtype=complex)
+        scaled.real, scaled.imag = np.ldexp(ar, -shift), np.ldexp(ai, -shift)
+        values, vectors = _reference_eig(scaled)
         return np.ldexp(values, shift), vectors
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for sweep in range(61 if scale > 0.0 else 0):
