@@ -30,7 +30,6 @@ from .gad import (
     ShiftEstimate,
     compose_z_rotation,
     gad_F_closed,
-    gad_L,
     gad_L_scaled,
     gad_choi_eigenvalues,
     gad_generator,
@@ -56,7 +55,7 @@ from .kraus import (
     kraus_to_choi,
     propagate,
 )
-from .lindblad import LindbladGenerator, apply_generator, build_L
+from .lindblad import LindbladGenerator, build_L
 from .linalg import (
     SIGMA_I,
     SIGMA_MINUS,
@@ -70,7 +69,6 @@ from .linalg import (
 )
 from .pd import (
     PdParams,
-    pd_L,
     pd_bloch,
     pd_generator,
     pd_kraus,

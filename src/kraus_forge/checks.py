@@ -15,6 +15,7 @@ from . import bloch as bloch_mod
 from . import gad as gad_mod
 from . import pd as pd_mod
 from .kraus import choi_distances, completeness_residuals, kraus_stack, operator_stack, propagate
+from .lindblad import build_L
 from .linalg import matrix_exp
 
 THETAS = (0.0, 1.0, 5.0)
@@ -66,7 +67,7 @@ def gad_checks(thetas=THETAS, omegas=OMEGAS, taus=TAUS) -> list[tuple[str, float
 def pd_checks(times=PD_TIMES) -> list[tuple[str, float, float]]:
     """The four PD checks at unit rate over ``times``."""
     params = pd_mod.PdParams(1.0)
-    pipeline = kraus_stack(propagate(pd_mod.pd_L(params), times)).operators
+    pipeline = kraus_stack(propagate(build_L(pd_mod.pd_generator(params)), times)).operators
     closed_sets = [pd_mod.pd_kraus(params, t) for t in times]
     closed = operator_stack(closed_sets)
     standard = operator_stack([pd_mod.pd_standard_kraus(-math.expm1(-2.0 * params.r * t)) for t in times])

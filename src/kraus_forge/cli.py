@@ -27,6 +27,7 @@ from . import gad as gad_mod
 from . import pd as pd_mod
 from .errors import KrausForgeError
 from .kraus import WEIGHT_CUTOFF, KrausStack, kraus_diagnostics, kraus_stack, propagate
+from .lindblad import build_L
 
 if TYPE_CHECKING:
     import argparse
@@ -409,7 +410,7 @@ def _derive_text(cfg: RunConfig) -> str:
                 pd_params = pd_mod.pd_rate_from_physics(_bath_from_param(param))
             else:
                 pd_params = pd_mod.PdParams(param["rate"])
-            generator = pd_mod.pd_L(pd_params)
+            generator = build_L(pd_mod.pd_generator(pd_params))
         elif param["kind"] == "scaled":
             # tau is the evolution time here; the pipeline checks it like any time
             scaled = gad_mod.GadScaled(param["theta"], param["omega"], 0.0)
@@ -420,7 +421,7 @@ def _derive_text(cfg: RunConfig) -> str:
             # tau is linear in t, so the unit-time rescale gives its factor
             scaled = gad_mod.rescale(rates, 1.0)
             taus = scaled.tau * times
-            generator = gad_mod.gad_L(rates)
+            generator = build_L(gad_mod.gad_generator(rates))
     except (TypeError, ValueError) as exc:
         # TypeError: a config-file value of the wrong JSON type, such as a list
         raise ConfigError(str(exc)) from exc

@@ -156,22 +156,13 @@ def gad_generator(rates: GadRates) -> LindbladGenerator:
     )
 
 
-def gad_L(rates: GadRates) -> np.ndarray:
-    """Generator matrix in the Hermitian basis, written out directly."""
-    x, y, z = rates.x, rates.y, rates.z
-    half = -0.5 * (y + z)
-    return np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, half, -2.0 * x, 0.0],
-            [0.0, 2.0 * x, half, 0.0],
-            [z - y, 0.0, 0.0, -(y + z)],
-        ]
-    )
-
-
 def gad_L_scaled(scaled: GadScaled) -> np.ndarray:
-    """Rescaled generator matrix; its exponential at tau is the propagator."""
+    """Rescaled generator matrix; its exponential at tau is the propagator.
+
+    Written out, not built by ``build_L``: the scaled route has no rates,
+    and GAD at x = theta/2, y = 1 - omega/2, z = 1 + omega/2 gives an L off
+    by up to 2.2e-16, which turns a Kraus operator by i at a phase near-tie.
+    """
     return np.array(
         [
             [0.0, 0.0, 0.0, 0.0],

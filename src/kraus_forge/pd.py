@@ -42,11 +42,6 @@ def pd_generator(params: PdParams) -> LindbladGenerator:
     )
 
 
-def pd_L(params: PdParams) -> np.ndarray:
-    """Generator matrix diag(0, -2r, -2r, 0)."""
-    return np.diag([0.0, -2.0 * params.r, -2.0 * params.r, 0.0])
-
-
 def pd_kraus(params: PdParams, t: float) -> KrausSet:
     """Closed-form pair: a sigma_z operator and an identity operator.
 

@@ -3,8 +3,10 @@
 The package holds the library and the CLI; a formula that only tests
 compare against lives here. These are the Bloch solutions of GAD in both
 parameterizations, which the package reads off the propagator's blocks
-instead, and the reader of the ``kraus_set_to_dict`` document, which the
-package only writes.
+instead; the generator matrices of GAD and PD written out by hand, and the
+generator applied to each basis element, which ``build_L`` is held to; and
+the reader of the ``kraus_set_to_dict`` document, which the package only
+writes.
 """
 
 import math
@@ -13,6 +15,48 @@ import numpy as np
 
 from kraus_forge.gad import GadRates, GadScaled
 from kraus_forge.kraus import KrausSet
+from kraus_forge.lindblad import LindbladGenerator
+from kraus_forge.linalg import hermitian_basis
+from kraus_forge.pd import PdParams
+
+
+def apply_generator(gen: LindbladGenerator, operator: np.ndarray) -> np.ndarray:
+    """Action of the generator on a 2x2 operator."""
+    a = np.asarray(operator, dtype=complex)
+    h = gen.hamiltonian
+    out = -1j * (h @ a - a @ h)
+    for rate, jump in gen.jumps:
+        jdj = jump.conj().T @ jump
+        out = out + rate * (
+            jump @ a @ jump.conj().T - 0.5 * (jdj @ a + a @ jdj)
+        )
+    return out
+
+
+def per_basis_L(gen: LindbladGenerator) -> np.ndarray:
+    """L_kl = tr(G_k gen(G_l)), complex, from the generator's image of each G_l."""
+    g = hermitian_basis()
+    images = np.stack([apply_generator(gen, g[l]) for l in range(4)])
+    return np.einsum("kab,lba->kl", g, images)
+
+
+def gad_L(rates: GadRates) -> np.ndarray:
+    """GAD generator matrix in the Hermitian basis, written out directly."""
+    x, y, z = rates.x, rates.y, rates.z
+    half = -0.5 * (y + z)
+    return np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, half, -2.0 * x, 0.0],
+            [0.0, 2.0 * x, half, 0.0],
+            [z - y, 0.0, 0.0, -(y + z)],
+        ]
+    )
+
+
+def pd_L(params: PdParams) -> np.ndarray:
+    """PD generator matrix diag(0, -2r, -2r, 0)."""
+    return np.diag([0.0, -2.0 * params.r, -2.0 * params.r, 0.0])
 
 
 def gad_bloch_scaled(scaled: GadScaled, u: float, v: float) -> np.ndarray:

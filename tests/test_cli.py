@@ -25,7 +25,7 @@ from kraus_forge.cli import main
 from kraus_forge.errors import KrausForgeError
 from kraus_forge.kraus import choi_distance, kraus_set_to_dict, kraus_stack, propagate
 from kraus_forge.linalg import SIGMA_I, SIGMA_Z
-from references import kraus_set_from_dict
+from references import gad_L, kraus_set_from_dict, pd_L
 
 
 def run_cli(capsys, *argv):
@@ -559,7 +559,7 @@ def test_figure_bloch3d_small_time_frame_matches_expm(capsys, tmp_path):
     uv = spherical_grid(6, 5)
     u, v = uv[:, 0], uv[:, 1]
     directions = np.stack([np.sin(v) * np.cos(u), np.sin(v) * np.sin(u), np.cos(v)], axis=1)
-    f = scipy.linalg.expm(gad_mod.gad_L(_default_bath_rates(100.0)) * 1e-9)
+    f = scipy.linalg.expm(gad_L(_default_bath_rates(100.0)) * 1e-9)
     reference = np.hstack([uv, directions @ f[1:, 1:].T + f[1:, 0]])
     np.testing.assert_allclose(rows, reference, rtol=5e-12, atol=1e-13)
 
@@ -964,7 +964,7 @@ def test_non_finite_point_exits_3_without_writing(capsys, tmp_path, monkeypatch)
 
 def test_render_points_raises_on_non_finite_member():
     times = np.array([0.1, 0.5])
-    stack = kraus_stack(propagate(pd_mod.pd_L(pd_mod.PdParams(1.0)), times))
+    stack = kraus_stack(propagate(pd_L(pd_mod.PdParams(1.0)), times))
     operators = stack.operators.copy()
     operators[0, 1, 0, 0] = np.nan
     with pytest.raises(KrausForgeError):
@@ -1000,14 +1000,14 @@ def _reference_document(channel, param, times):
     taus = times
     if channel == "pd":
         params = pd_mod.PdParams(param["rate"])
-        generator, route = pd_mod.pd_L(params), {"rate": params.r}
+        generator, route = pd_L(params), {"rate": params.r}
     elif param["kind"] == "scaled":
         scaled = gad_mod.GadScaled(param["theta"], param["omega"], 0.0)
         generator, route = gad_mod.gad_L_scaled(scaled), {}
     else:
         rates = gad_mod.GadRates(param["x"], param["y"], param["z"])
         scaled = gad_mod.rescale(rates, 1.0)
-        generator, taus = gad_mod.gad_L(rates), scaled.tau * times
+        generator, taus = gad_L(rates), scaled.tau * times
         route = {"rates": {"x": rates.x, "y": rates.y, "z": rates.z}}
     stack = kraus_stack(propagate(generator, times))
     points = []

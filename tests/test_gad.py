@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kraus_forge import gad as gad_mod
@@ -18,7 +18,6 @@ from kraus_forge.gad import (
     ReferenceGadParams,
     compose_z_rotation,
     gad_F_closed,
-    gad_L,
     gad_choi_eigenvalues,
     gad_generator,
     gad_kraus_asymptotic,
@@ -42,7 +41,7 @@ from kraus_forge.kraus import (
 from kraus_forge.lindblad import build_L
 from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z, hermitian_eig
 from kraus_forge.pd import pd_rate_from_physics
-from references import gad_bloch_rates, gad_bloch_scaled
+from references import gad_L, gad_bloch_rates, gad_bloch_scaled
 
 scaled_params = st.builds(
     GadScaled,
@@ -97,9 +96,40 @@ def test_gad_L_rotation_entry():
     assert gad_L(GadRates(1.0, 3.0, 1.0))[1, 2] == -2.0
 
 
-def test_gad_L_matches_lindblad_route():
-    for rates in (GadRates(1.0, 3.0, 1.0), GadRates(-0.4, 0.9, 0.2)):
-        assert np.abs(gad_L(rates) - build_L(gad_generator(rates))).max() < 1e-14
+# magnitudes from 1e-300 to 1e300, spread over the exponents
+_MAGNITUDES = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_MAGNITUDES, st.booleans(), _MAGNITUDES, st.one_of(st.just(0.0), _MAGNITUDES))
+@example(1.0, False, 3.0, 1.0)
+@example(0.4, True, 0.9, 0.2)
+@example(1e300, True, 1e300, 0.0)
+@example(1e300, False, 1.7e308, 1e300)  # halved before the sum
+# subnormal rates: y + z is summed before it is halved, as in the closed form
+@example(5e-324, True, 2.5e-322, 5e-324)
+@example(1e-320, False, 3e-310, 1e-315)
+@example(1e300, False, 2e-323, 1.5e-323)
+@example(5e-324, False, 1.7e308, 1e-310)
+def test_gad_L_matches_lindblad_route(x, negative, y, z):
+    # every entry is at most two exact terms, so it rounds once, as the
+    # closed form does: the bits agree
+    assume(y > z)
+    rates = GadRates(-x if negative else x, y, z)
+    assert build_L(gad_generator(rates)).tobytes() == gad_L(rates).tobytes()
+
+
+@pytest.mark.parametrize("rates", [(0.0, 3.0, 1.0), (-0.0, 3.0, 1.0), (-2.0, 5e-324, 0.0)])
+def test_gad_L_matches_lindblad_route_up_to_signs_of_zeros(rates):
+    # the contraction sums from +0.0, so where the closed form gives -0.0
+    # (-2x or 2x at x = +-0, and -(y + z)/2 rounded to zero) L has +0.0
+    rates = GadRates(*rates)
+    matrix, closed = build_L(gad_generator(rates)), gad_L(rates)
+    assert np.array_equal(matrix, closed)
+    assert (matrix[matrix.view(np.int64) != closed.view(np.int64)] == 0.0).all()
 
 
 def test_gad_F_closed_at_zero_time():

@@ -30,7 +30,7 @@ from kraus_forge.kraus import (
     propagate,
 )
 from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z, hermitian_basis, hermitian_eig
-from references import kraus_set_from_dict
+from references import gad_L, kraus_set_from_dict, pd_L
 
 
 def dephasing_propagator(rt):
@@ -255,8 +255,8 @@ def test_choi_distance_rejects_incomplete_set():
 
 def test_round_trip_generator_to_kraus_action():
     # the full chain reproduces the propagator's action on the basis
-    from kraus_forge.gad import GadRates, gad_L
-    from kraus_forge.pd import PdParams, pd_L
+    from kraus_forge.gad import GadRates
+    from kraus_forge.pd import PdParams
 
     basis = hermitian_basis()
     generators = [
@@ -306,7 +306,7 @@ def test_serialization_round_trip():
 def test_kraus_stack_equals_single_point_calls(rates):
     # the stacked chain gives every point exactly what the one-point calls
     # give, including the points where the cutoff drops operators
-    from kraus_forge.gad import GadRates, gad_L
+    from kraus_forge.gad import GadRates
 
     gen = gad_L(GadRates(*rates))
     times = np.linspace(0.0, 2.0, 25)

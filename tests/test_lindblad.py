@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kraus_forge.errors import NonHermitianInput
-from kraus_forge.lindblad import LindbladGenerator, apply_generator, build_L
+from kraus_forge.lindblad import LindbladGenerator, build_L
 from kraus_forge.linalg import (
     SIGMA_I,
     SIGMA_MINUS,
@@ -11,6 +13,7 @@ from kraus_forge.linalg import (
     SIGMA_Z,
     hermitian_basis,
 )
+from references import apply_generator, per_basis_L
 
 
 def damping_generator(x, y, z):
@@ -86,7 +89,7 @@ def test_trace_annihilation_and_first_row():
         gen = random_generator(rng)
         for el in basis:
             assert abs(np.trace(apply_generator(gen, el))) < 1e-12
-        assert np.abs(build_L(gen)[0]).max() < 1e-14
+        assert (build_L(gen)[0] == 0.0).all()
 
 
 def test_generator_matrix_closure():
@@ -119,6 +122,31 @@ def test_build_L_linear_in_generator():
         jumps=first.jumps + second.jumps,
     )
     assert np.abs(build_L(combined) - (build_L(first) + build_L(second))).max() < 1e-14
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_COMPLEX_2X2 = st.builds(
+    lambda parts: np.array(parts[:4]).reshape(2, 2) + 1j * np.array(parts[4:]).reshape(2, 2),
+    st.lists(_UNIT, min_size=8, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _COMPLEX_2X2,
+    st.lists(st.tuples(st.floats(0.0, 1e12), _COMPLEX_2X2), max_size=3),
+    st.floats(0.0, 1e12),
+)
+@example(np.zeros((2, 2)), [(1e9, np.array([[0.6, 0.8j], [0.3 + 0.1j, 0.2]]))], 0.0)
+@example(np.zeros((2, 2)), [(1e12, np.array([[0.6 + 0.8j, 1e-7], [2e-7j, 0.6 + 0.8j]]))], 0.0)
+def test_build_L_accepts_large_rates(h, jumps, scale):
+    # roundoff grows with the rates, so the imaginary residue's bound is
+    # relative; both routes round on the scale of the terms they sum, which
+    # a jump near a multiple of the identity makes far larger than L
+    gen = LindbladGenerator(hamiltonian=scale * (h + h.conj().T) / 2, jumps=tuple(jumps))
+    size = max([1.0, float(np.abs(gen.hamiltonian).max())]
+               + [rate * float(np.abs(jump).max()) ** 2 for rate, jump in gen.jumps])
+    assert np.abs(build_L(gen) - per_basis_L(gen)).max() <= 1e-14 * size
 
 
 def test_rejects_nonhermitian_hamiltonian():

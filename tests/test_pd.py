@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kraus_forge.errors import NegativeTime
 from kraus_forge.gad import BathSpectrum
@@ -16,13 +18,13 @@ from kraus_forge.lindblad import build_L
 from kraus_forge.linalg import SIGMA_I, SIGMA_X, SIGMA_Z
 from kraus_forge.pd import (
     PdParams,
-    pd_L,
     pd_bloch,
     pd_generator,
     pd_kraus,
     pd_rate_from_physics,
     pd_standard_kraus,
 )
+from references import pd_L
 
 
 def channel_action(kset, operator):
@@ -40,9 +42,30 @@ def test_pd_L_values():
     assert np.abs(pd_L(PdParams(1.0)) - np.diag([0.0, -2.0, -2.0, 0.0])).max() == 0.0
 
 
-def test_pd_L_matches_lindblad_route():
-    for r in (0.3, 1.0, 4.2):
-        assert np.abs(pd_L(PdParams(r)) - build_L(pd_generator(PdParams(r)))).max() < 1e-14
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.floats(1e-300, 1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299)),
+))
+@example(0.3)
+@example(1.0)
+@example(4.2)
+# the dissipator's terms are summed before they are halved, so -2r is exact
+# for a subnormal r; above 2^1000 they are halved first, exactly
+@example(5e-324)
+@example(1.5e-323)
+@example(1e-310)
+@example(1.7e308)
+def test_pd_L_matches_lindblad_route(r):
+    params = PdParams(r)
+    assert build_L(pd_generator(params)).tobytes() == pd_L(params).tobytes()
+
+
+def test_pd_L_matches_lindblad_route_at_zero_rate():
+    # the contraction sums with a +0.0 start, so -2r at r = 0 comes out as
+    # +0.0 where the closed form has -0.0: only those zeros' signs differ
+    params = PdParams(0.0)
+    assert np.array_equal(build_L(pd_generator(params)), pd_L(params))
 
 
 def test_pd_kraus_at_zero_time():
