@@ -28,8 +28,7 @@ class AffineBlochMap(FrozenRecord):
             raise ValueError("expected a 3x3 linear part and a 3-vector shift")
         linear.flags.writeable = False
         shift.flags.writeable = False
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "shift", shift)
+        super().__init__(linear, shift)
 
 
 def bloch_map(kset: KrausSet) -> AffineBlochMap:

@@ -5,12 +5,17 @@ class FrozenRecord:
     """Base of the package's immutable records.
 
     A subclass names its fields in ``__slots__``; its ``__init__`` checks and
-    normalises them and stores each with ``object.__setattr__``. Fields are
-    shown by ``repr`` and compared and hashed as a tuple, in slot order, and
-    assigning to one raises AttributeError.
+    normalises them and passes them, in slot order, to this ``__init__``,
+    which stores them. Fields are shown by ``repr`` and compared and hashed
+    as a tuple, in slot order, and assigning to or deleting one raises
+    AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

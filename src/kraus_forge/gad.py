@@ -41,9 +41,7 @@ class GadRates(FrozenRecord):
             raise ValueError("rates must be finite")
         if not y > z >= 0.0:
             raise ValueError(f"rates must satisfy y > z >= 0, got y={y}, z={z}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        super().__init__(x, y, z)
 
 
 class GadScaled(FrozenRecord):
@@ -63,9 +61,7 @@ class GadScaled(FrozenRecord):
             raise ValueError(f"omega must lie in [-2, 0), got {omega}")
         if tau < 0.0:
             raise ValueError(f"tau must be >= 0, got {tau}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "tau", tau)
+        super().__init__(theta, omega, tau)
 
 
 class ReferenceGadParams(FrozenRecord):
@@ -83,8 +79,7 @@ class ReferenceGadParams(FrozenRecord):
             raise ValueError(f"lambda_t must lie in [0, 1], got {lam}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        object.__setattr__(self, "lambda_t", lam)
-        object.__setattr__(self, "p", p)
+        super().__init__(lam, p)
 
     @classmethod
     def from_scaled(cls, scaled: GadScaled) -> "ReferenceGadParams":
@@ -111,10 +106,7 @@ class BathSpectrum(FrozenRecord):
             raise ValueError("omega0 and omega_c must be > 0")
         if temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {temperature}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "omega0", omega0)
-        object.__setattr__(self, "omega_c", omega_c)
-        object.__setattr__(self, "temperature", temperature)
+        super().__init__(alpha, omega0, omega_c, temperature)
 
 
 def spectral_density(bath: BathSpectrum, omega):

@@ -72,14 +72,10 @@ class KrausSet(FrozenRecord):
             weights = tuple(float(w) for w in weights)
             if len(weights) != len(ops):
                 raise ValueError("weights and operators must have equal length")
-        object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "weights", weights)
+        super().__init__(tuple(ops), weights)
 
     def __len__(self) -> int:
         return len(self.operators)
-
-    def __iter__(self):
-        return iter(self.operators)
 
     def completeness_residual(self) -> float:
         """Largest entrywise deviation of sum(E^dag E) from the identity."""
@@ -207,10 +203,8 @@ def completeness_residuals(operators: np.ndarray) -> np.ndarray:
     ``operators`` is a zero-padded stack (k, m, 2, 2); the result has shape (k,).
     """
     gram = operators.conj().transpose(0, 1, 3, 2) @ operators
-    total = gram[:, 0]
-    for i in range(1, gram.shape[1]):
-        total = total + gram[:, i]
-    return np.abs(total - SIGMA_I).max(axis=(1, 2))
+    # numpy adds along a short outer axis one operator after the next, in index order
+    return np.abs(gram.sum(axis=1) - SIGMA_I).max(axis=(1, 2))
 
 
 def _operator_choi(operators: np.ndarray) -> np.ndarray:

@@ -119,21 +119,18 @@ def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state[2, range(n), range(n)] = 1.0
     # the Frobenius norm, summed entry by entry in row-major order as the
     # one-member path sums it (np.sum and BLAS dots use other orders); entries
-    # near the top of the range overflow here, and such a member is scaled
+    # and sums near the top of the range overflow here
     with np.errstate(over="ignore"):
         state[0] = ((re + re.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0)
         state[1] = ((im - im.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0)
         squares = state[0] * state[0] + state[1] * state[1]
-    scale = np.sqrt(reduce(operator.add, squares.reshape(n * n, count)))
+        scale = np.sqrt(reduce(operator.add, squares.reshape(n * n, count)))
     low, high = _NORM_RANGE
-    outside = (scale < low) | (scale > high)
-    if outside.any():
-        # scale the Hermitian part, not a residue within tolerance; the input where it overflowed
-        parts = np.where(np.isfinite(scale)[:, None, None], state[:2].transpose(0, 3, 1, 2), (re, im))
-        shift = np.where(outside, _exponents(*parts), 0)
-        if shift.any():
-            values, vectors = _eig_stack(*np.ldexp(parts, -shift[:, None, None]))
-            return _scaled_back(values, shift[:, None]), vectors
+    # a nonzero Hermitian part whose norm is out of range, subnormal ones
+    # included, must be scaled: _eig_one does that, and gives the same bits
+    if (((scale < low) | (scale > high)) & state[:2].any(axis=(0, 1, 2))).any():
+        values, vectors = zip(*map(_eig_one, re, im))
+        return np.array(values), np.array(vectors)
     rows, cols = np.triu_indices(n, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     # the members still rotating, as indices into the stack and as a working
@@ -275,7 +272,8 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that brings its largest entry into [1/2, 1), and its eigenvalues are
     scaled back, so tiny, subnormal and huge members keep their spectrum.
     A one-member call runs the same operations on Python floats, which is
-    faster for a single small matrix and gives the same bits. Both use only
+    faster for a single small matrix and gives the same bits; a stack that
+    holds a member to be scaled is decomposed member by member that way. Both use only
     real ``+ - * /``, ``sqrt``, ``hypot`` and exact power-of-two scaling, so
     the result does not depend on the BLAS kernel or on numpy's SIMD
     dispatch.

@@ -54,8 +54,7 @@ class LindbladGenerator(FrozenRecord):
             if not np.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"jump rates must be finite and >= 0, got {rate}")
             checked.append((rate, _as_qubit_operator(op, "jump operator")))
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", tuple(checked))
+        super().__init__(h, tuple(checked))
 
 
 # Structure constants of the Hermitian basis G = P / sqrt(2), built from the

@@ -27,7 +27,7 @@ class PdParams(FrozenRecord):
         r = float(r)
         if not math.isfinite(r) or r < 0.0:
             raise ValueError(f"dephasing rate must be finite and >= 0, got {r}")
-        object.__setattr__(self, "r", r)
+        super().__init__(r)
 
 
 def pd_generator(params: PdParams) -> LindbladGenerator:
