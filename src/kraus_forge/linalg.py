@@ -65,6 +65,12 @@ HERMITIAN_TOLERANCE = 1e-12
 #: cyclic Jacobi sweeps after which hermitian_eig gives up
 SWEEP_LIMIT = 60
 
+#: an eigenvector's phase is set by its lowest-index component whose magnitude
+#: is at least this fraction of the largest, so that roundoff cannot choose
+#: between components that tie in magnitude, as GAD's sigma-minus and
+#: sigma-plus components do
+PHASE_WINDOW = 1.0 - 2.0**-40
+
 # a member whose Frobenius norm lies outside this range is first scaled by a
 # power of two, so that the squares of its entries neither underflow nor overflow
 _NORM_RANGE = (2.0**-500, 2.0**500)
@@ -177,8 +183,10 @@ def _eig_stack(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack = np.arange(count)[:, None]
     values = values[stack, order]
     vr, vi = (v.transpose(2, 0, 1)[stack, :, order].transpose(0, 2, 1) for v in state[2:])
-    # rephase each column by conj(f)/|f| for its first largest entry f
-    top = stack, np.argmax(np.hypot(vr, vi), axis=1), np.arange(n)
+    # rephase each column by conj(f)/|f| for its reference entry f
+    mags = np.hypot(vr, vi)
+    reference = mags >= PHASE_WINDOW * mags.max(axis=1, keepdims=True)
+    top = stack, np.argmax(reference, axis=1), np.arange(n)
     pr, pi = vr[top], vi[top]
     mag = np.hypot(pr, pi)
     fr, fi = (pr / mag)[:, None, :], (-pi / mag)[:, None, :]
@@ -240,11 +248,12 @@ def _eig_one(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     values = [ar[j][j] for j in range(n)]
     order = sorted(range(n), key=lambda j: -values[j])
-    # rephase each column by conj(f)/|f| for its first largest entry f
+    # rephase each column by conj(f)/|f| for its reference entry f
     factors = []
     for j in order:
         mags = [abs(complex(r[j], i[j])) for r, i in zip(vr, vi)]
-        top = mags.index(max(mags))
+        least = PHASE_WINDOW * max(mags)
+        top = next(k for k, mag in enumerate(mags) if mag >= least)
         factors.append((j, vr[top][j] / mags[top], -vi[top][j] / mags[top]))
     # the vectors in row-major order, real and imaginary parts interleaved
     out = []
@@ -261,8 +270,10 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same leading shape. Returns ``(eigenvalues, eigenvectors)`` with
     eigenvalues sorted in descending order and eigenvectors as the matching
     columns of a unitary matrix. Each eigenvector is rephased so that its
-    largest-magnitude component is real and positive (ties broken by the
-    lowest index).
+    reference component is real and positive: the lowest-index component
+    whose magnitude is at least PHASE_WINDOW (1 - 2^-40) times the largest.
+    Components that tie in magnitude up to roundoff thus give the same
+    phase whatever the roundoff.
 
     The iteration runs on the whole stack at once, but every member gets the
     rotations, sweep count and roundoff it would get alone: a member leaves

@@ -103,7 +103,8 @@ def test_eig_descending_order_and_phase_convention():
     values, vectors = hermitian_eig(m)
     assert np.all(np.diff(values) <= 0)
     for i in range(4):
-        pivot = vectors[int(np.argmax(np.abs(vectors[:, i]))), i]
+        mags = np.abs(vectors[:, i])
+        pivot = vectors[int(np.flatnonzero(mags >= (1.0 - 2.0**-40) * mags.max())[0]), i]
         assert pivot.real > 0
         assert abs(pivot.imag) < 1e-13
 
@@ -343,8 +344,10 @@ def _reference_eig(matrix):
     values, vr, vi = values[order], vr[:, order], vi[:, order]
     vectors = np.empty((n, n), dtype=complex)
     for k in range(n):
-        top = int(np.argmax(np.hypot(vr[:, k], vi[:, k])))
-        mag = np.hypot(vr[top, k], vi[top, k])
+        # the phase reference: the lowest index within 2^-40 of the largest magnitude
+        mags = np.hypot(vr[:, k], vi[:, k])
+        top = int(np.flatnonzero(mags >= (1.0 - 2.0**-40) * mags.max())[0])
+        mag = mags[top]
         phase = vr[top, k] / mag, -vi[top, k] / mag
         vectors.real[:, k], vectors.imag[:, k] = _times(phase, (vr[:, k], vi[:, k]))
     return values, vectors
