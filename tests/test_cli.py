@@ -442,18 +442,18 @@ GOLDEN_DERIVE = {
     "gad_rates_sweep_1000": (
         ("derive", "--channel", "gad", "--rates", "--x=0.7", "--y=2.5", "--z=0.4",
          "--t-start", "0", "--t-end", "2", "--steps", "1000"),
-        "e575facad146f887ba722cc1e3a80f539af5189e95f1e4af36b34bcba88fe6d4",
+        "93da7851c46fb8e3f3aaf197cbc8c6f7f7a086bf94025ff1f777e796254fccfe",
     ),
     # omega = -2: the weight cutoff drops two or three operators per point
     "gad_zero_temperature_sweep": (
         ("derive", "--channel", "gad", "--rates", "--x=0.3", "--y=2", "--z=0",
          "--t-start", "0", "--t-end", "2", "--steps", "50"),
-        "d6f246ee3476ddf53ad5e7e9be2b11bc5382c01e93f87d9fbb22c653110dc63b",
+        "b862efca54a0c8b21fb77bd66ce6512f753b018adb4972dc260ce8fb2aa1d864",
     ),
     "gad_scaled_tau_sweep": (
         ("derive", "--channel", "gad", "--scaled", "--theta=1.5", "--omega=-0.6",
          "--t-start", "0", "--t-end", "3", "--steps", "40"),
-        "1f66ea955b9f8c894c79b4e75fd3ce5d7e0ee9b0856c451997ab3088e1a22a69",
+        "642271f0313b3771fbc0550ee8c7d926b6eb248c3095d83940ae78d9d68786df",
     ),
     "pd_physical_sweep": (
         ("derive", "--channel", "pd", "--physical", "--alpha=0.02", "--omega0=10",
