@@ -25,6 +25,7 @@ from kraus_forge.cli import main
 from kraus_forge.errors import KrausForgeError
 from kraus_forge.kraus import choi_distance, kraus_set_to_dict, kraus_stack, propagate
 from kraus_forge.linalg import SIGMA_I, SIGMA_Z
+from kernels import run_fresh, skip_unless_kernel_runs
 from references import gad_L, kraus_set_from_dict, pd_L
 
 
@@ -475,6 +476,60 @@ def test_derive_golden_bytes(capsys, case):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the GOLDEN_DERIVE documents, given their argvs as one JSON argument,
+# printed as one JSON list
+_DERIVE_SCRIPT = """
+import contextlib, io, json, sys
+from kraus_forge.cli import main
+documents = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    documents.append(json.loads(out.getvalue()))
+print(json.dumps(documents))
+"""
+
+
+def _golden_documents(**variables):
+    argvs = [GOLDEN_DERIVE[case][0] for case in sorted(GOLDEN_DERIVE)]
+    return json.loads(run_fresh(_DERIVE_SCRIPT, json.dumps(argvs), **variables))
+
+
+def _assert_same_up_to_roundoff(first, second, path="document"):
+    # the same keys, lengths and types, and numbers within 1e-14 absolute
+    assert type(first) is type(second), path
+    if isinstance(first, dict):
+        assert list(first) == list(second), path
+        for key in first:
+            _assert_same_up_to_roundoff(first[key], second[key], f"{path}.{key}")
+    elif isinstance(first, list):
+        assert len(first) == len(second), path
+        for k, (x, y) in enumerate(zip(first, second)):
+            _assert_same_up_to_roundoff(x, y, f"{path}[{k}]")
+    elif isinstance(first, float):
+        assert abs(first - second) <= 1e-14, (path, first, second)
+    else:
+        assert first == second, path
+
+
+@pytest.fixture(scope="module")
+def default_golden_documents():
+    return _golden_documents()
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_derive_goldens_move_by_roundoff_only_across_blas_kernels(
+    default_golden_documents, kernel
+):
+    # the pinned bytes hold under the default kernel; another kernel's matrix
+    # products may move the last bits, but no Kraus operator turns by a phase
+    skip_unless_kernel_runs(kernel)
+    _assert_same_up_to_roundoff(
+        _golden_documents(OPENBLAS_CORETYPE=kernel), default_golden_documents
+    )
 
 
 def test_verify_report_golden_bytes(capsys, tmp_path):

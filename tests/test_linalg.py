@@ -1,11 +1,6 @@
 import json
 import math
-import os
-import platform
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +21,7 @@ from kraus_forge.linalg import (
     hermitian_eig,
     matrix_exp,
 )
+from kernels import cpu_features, run_fresh, skip_unless_kernel_runs
 
 
 def random_hermitian(rng, n=4):
@@ -541,29 +537,8 @@ print(json.dumps({"digest": digest.hexdigest(), "enabled": enabled}))
 """
 
 
-def _cpu_features():
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return __cpu_dispatch__, __cpu_features__
-
-
 def _eig_digest(**variables):
-    # a fresh interpreter, so that numpy and OpenBLAS read the variables at import
-    env = {
-        k: v
-        for k, v in os.environ.items()
-        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
-    }
-    src = str(Path(linalg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env.update(variables)
-    run = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    return json.loads(run.stdout)
+    return json.loads(run_fresh(_DIGEST_SCRIPT, **variables))
 
 
 @pytest.fixture(scope="module")
@@ -573,18 +548,14 @@ def default_eig_digest():
 
 @pytest.mark.parametrize("variant", ["Haswell", "Prescott", "no_dispatched_features"])
 def test_eig_bits_do_not_depend_on_blas_or_simd(default_eig_digest, variant):
-    dispatch, features = _cpu_features()
-    machine = platform.machine()
     if variant == "no_dispatched_features":
+        dispatch, features = cpu_features()
         disabled = [f for f in dispatch if features.get(f)]
         if not disabled:
             pytest.skip("numpy dispatches no feature beyond its baseline on this CPU")
         run = _eig_digest(NPY_DISABLE_CPU_FEATURES=",".join(disabled))
         assert not set(disabled) & set(run["enabled"])
     else:
-        if machine.lower() not in ("x86_64", "amd64"):
-            pytest.skip(f"OPENBLAS_CORETYPE names x86-64 kernels; this host is {machine}")
-        if variant == "Haswell" and not (features.get("AVX2") and features.get("FMA3")):
-            pytest.skip("the Haswell kernel needs AVX2 and FMA3, which this CPU lacks")
+        skip_unless_kernel_runs(variant)
         run = _eig_digest(OPENBLAS_CORETYPE=variant)
     assert run["digest"] == default_eig_digest
