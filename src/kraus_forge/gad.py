@@ -92,7 +92,7 @@ class BathSpectrum(FrozenRecord):
 
     The spectral density is ohmic with an exponential cutoff,
     J(w) = alpha w e^(-w/wc). Temperature uses the same natural units as the
-    frequencies.
+    frequencies. All four are finite and stored as floats.
     """
 
     __slots__ = ("alpha", "omega0", "omega_c", "temperature")
@@ -100,13 +100,17 @@ class BathSpectrum(FrozenRecord):
     def __init__(
         self, alpha: float, omega0: float, omega_c: float, temperature: float
     ) -> None:
+        fields = tuple(map(float, (alpha, omega0, omega_c, temperature)))
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("bath parameters must be finite")
+        alpha, omega0, omega_c, temperature = fields
         if alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         if omega0 <= 0.0 or omega_c <= 0.0:
             raise ValueError("omega0 and omega_c must be > 0")
         if temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {temperature}")
-        super().__init__(alpha, omega0, omega_c, temperature)
+        super().__init__(*fields)
 
 
 def spectral_density(bath: BathSpectrum, omega):
@@ -419,7 +423,8 @@ def lamb_stark_shift(bath: BathSpectrum, *, rel_tol: float = 1e-6) -> ShiftEstim
     where the spectral density is e^(-50) down. Each integral is evaluated
     twice with the excision halved, the difference is reported as the error
     estimate, and QuadratureFailure is raised if it exceeds ``rel_tol``
-    relative to the value.
+    relative to the value, or if the value or the estimate is not finite,
+    as for a bath whose spectral density overflows.
     """
     pole = bath.omega0
     hi = 50.0 * bath.omega_c
@@ -435,9 +440,15 @@ def lamb_stark_shift(bath: BathSpectrum, *, rel_tol: float = 1e-6) -> ShiftEstim
     excision = min(pole, hi - pole) / 4.0
     results = []
     for integrand in (vacuum, thermal):
-        coarse = _pv_cauchy(integrand, pole, hi, excision)
-        fine = _pv_cauchy(integrand, pole, hi, 0.5 * excision)
+        # an overflowing integrand gives inf or nan here, which is raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse = _pv_cauchy(integrand, pole, hi, excision)
+            fine = _pv_cauchy(integrand, pole, hi, 0.5 * excision)
         error = abs(fine - coarse)
+        if not (math.isfinite(fine) and math.isfinite(error)):
+            raise QuadratureFailure(
+                f"principal-value integral {fine:.3e} with error estimate {error:.3e} is not finite"
+            )
         if error > rel_tol * max(abs(fine), 1e-12):
             raise QuadratureFailure(
                 f"principal-value error estimate {error:.3e} exceeds "

@@ -386,6 +386,8 @@ _SWEEP_ZERO_TEMPERATURE = (
         (("derive", "--channel", "pd", "--rate=-1", "--t", "1"), 2),
         (("derive", "--channel", "pd", "--physical", "--alpha=-1", "--omega0", "10",
           "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--physical", "--alpha", "inf", "--omega0", "10",
+          "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
         # non-finite times and unusable weight cutoffs are configuration errors
         (("derive", "--channel", "pd", "--rate", "1", "--t", "nan"), 2),
         (("derive", "--channel", "pd", "--rate", "1", "--t-start", "0",
@@ -407,6 +409,18 @@ def test_derive_rejects_bad_input_with_documented_exit_code(capsys, argv, expect
     assert code == expected
     assert out == ""
     assert "Traceback" not in err
+
+
+def test_bath_whose_shift_overflows_is_a_pipeline_error(capsys):
+    # J(omega) overflows in the principal-value integrals: exit 3, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "derive", "--channel", "gad", "--physical", "--alpha", "1e308",
+            "--omega0", "10", "--cutoff", "15", "--temperature", "100", "--shift", "--t", "1",
+        )
+    assert (code, out) == (3, "")
+    assert err.startswith("pipeline error: principal-value integral nan")
 
 
 def test_pipeline_error_exit_code(capsys):

@@ -640,3 +640,24 @@ def test_lamb_stark_rejects_pole_outside_window():
 def test_quadrature_failure_when_tolerance_unreachable():
     with pytest.raises(QuadratureFailure):
         lamb_stark_shift(BathSpectrum(0.02, 10.0, 15.0, 100.0), rel_tol=1e-18)
+
+
+@pytest.mark.parametrize(
+    "bath", [(1e308, 10.0, 15.0, 100.0), (1e306, 10.0, 15.0, 100.0), (0.02, 10.0, 15.0, 1e306)]
+)
+def test_quadrature_failure_when_the_shift_is_not_finite(bath):
+    # the spectral density or the thermal integrand overflows: a typed error,
+    # raised quietly, where a NaN or infinite shift used to be returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="is not finite"):
+            lamb_stark_shift(BathSpectrum(*bath))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_bath_parameters_must_be_finite(field, value):
+    args = [0.02, 10.0, 15.0, 100.0]
+    args[field] = value
+    with pytest.raises(ValueError, match="bath parameters must be finite"):
+        BathSpectrum(*args)

@@ -22,7 +22,7 @@ RECORDS = [
     (ReferenceGadParams, ("lambda_t", "p"), (1, 0.25), (1.0, 0.25), None,
      ((1.5, 0.5), "lambda_t must lie in [0, 1], got 1.5")),
     (BathSpectrum, ("alpha", "omega0", "omega_c", "temperature"), (0.02, 10, 15, 100),
-     (0.02, 10, 15, 100), None, ((0.02, 10, 0, 1), "omega0 and omega_c must be > 0")),
+     (0.02, 10.0, 15.0, 100.0), None, ((0.02, 10, 0, 1), "omega0 and omega_c must be > 0")),
     (PdParams, ("r",), (2,), (2.0,), None,
      ((-1,), "dephasing rate must be finite and >= 0, got -1.0")),
     (KrausSet, ("operators", "weights"), ([[[1, 0], [0, 1]]], [2]),
