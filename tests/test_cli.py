@@ -388,6 +388,16 @@ _SWEEP_ZERO_TEMPERATURE = (
           "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
         (("derive", "--channel", "pd", "--physical", "--alpha", "inf", "--omega0", "10",
           "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
+        # a missing channel, time or parameter, and a parameterization the channel lacks
+        (("derive", "--rate", "1", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--rate", "1"), 2),
+        (("derive", "--channel", "gad", "--scaled", "--theta", "1", "--tau", "1"), 2),
+        (("derive", "--channel", "gad", "--physical", "--alpha", "0.02", "--omega0", "10",
+          "--t", "1"), 2),
+        (("derive", "--channel", "gad", "--rates", "--y", "2", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--rates", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--scaled", "--theta", "1", "--omega=-1",
+          "--tau", "1"), 2),
         # non-finite times and unusable weight cutoffs are configuration errors
         (("derive", "--channel", "pd", "--rate", "1", "--t", "nan"), 2),
         (("derive", "--channel", "pd", "--rate", "1", "--t-start", "0",
@@ -658,6 +668,10 @@ _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times",
          "--t-start", "0", "--t-end", "1", "--steps", "3"),
         ("figure", "--figure", "volume_rate", "--temperatures", "100,100",
          "--t-start", "0", "--t-end", "1", "--steps", "3"),
+        # no figure kind, temperatures or times
+        ("figure", "--temperatures", "100", "--times", "0.1"),
+        ("figure", "--figure", "bloch3d", "--times", "0.1"),
+        ("figure", "--figure", "bloch3d", "--temperatures", "100"),
     ],
 )
 def test_figure_rejects_bad_input_before_writing(capsys, tmp_path, argv):
@@ -964,18 +978,50 @@ _BATH = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
         *((("derive", "--channel", "gad", "--t", "1"),
            {"parameterization": {"kind": "physical", "shift": value, **_BATH}})
           for value in ("false", 0, 1, [])),
+        # a missing file (None), and a file that holds no JSON object
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), None),
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), [1, 2]),
+        (("figure",), {"figure": {"kind": "bloch3d", "temperatures": 5, "times": [0.1]}}),
+        (("derive", "--rate", "1", "--t", "1"), {"channel": "xyz"}),
+        # the output path from the file alone: not a string, or none for figure
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), {"output": 5}),
+        (("figure", "--figure", "bloch3d", "--temperatures", "100", "--times", "0.1"),
+         {"output": None}),
     ],
 )
 def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(config))
+    if config is not None:
+        path.write_text(json.dumps(config))
     out_path = tmp_path / "out"
-    code, out, err = run_cli(capsys, *argv, "--config", str(path), "--output", str(out_path))
+    # the --output flag would win over a file's "output", so such a file goes without it
+    if isinstance(config, dict) and "output" in config:
+        argv = (*argv, "--config", str(path))
+    else:
+        argv = (*argv, "--config", str(path), "--output", str(out_path))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--rates", ("derive", "--channel", "gad", "--y", "2", "--z", "1", "--t", "0.3")),
+        ("--physical", ("derive", "--channel", "gad",
+                        *(f"--{key}={value}" for key, value in _BATH.items()), "--t", "0.3")),
+    ],
+)
+def test_derive_infers_the_parameterization_kind(capsys, flag, argv):
+    code, inferred, _ = run_cli(capsys, *argv)
+    code_explicit, explicit, _ = run_cli(capsys, *argv, flag)
+    assert code == code_explicit == 0
+    assert json.loads(inferred) == json.loads(explicit)
+    # an inferred kind is added after the values, so the header's keys differ in order only
+    assert list(json.loads(inferred)["parameterization"])[-1] == "kind"
 
 
 def test_config_file_shift_true_is_the_shift_flag(capsys, tmp_path):

@@ -66,6 +66,8 @@ def test_record_contract(record):
     for name in (names[0], "other"):
         with pytest.raises(AttributeError):
             setattr(positional, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(positional, name)
     fields = ", ".join(f"{name}={getattr(positional, name)!r}" for name in names)
     assert repr(positional) == f"{cls.__name__}({fields})"
     # copy and pickle rebuild the record through its constructor
