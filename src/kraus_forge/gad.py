@@ -156,8 +156,8 @@ def gad_L_scaled(scaled: GadScaled) -> np.ndarray:
     """Rescaled generator matrix; its exponential at tau is the propagator.
 
     Written out, not built by ``build_L``: the scaled route has no rates,
-    and GAD at x = theta/2, y = 1 - omega/2, z = 1 + omega/2 gives an L off
-    by up to 2.2e-16, which turns a Kraus operator by i at a phase near-tie.
+    and GAD at x = theta/2, y = 1 - omega/2, z = 1 + omega/2 loses omega,
+    since y and z both round to 1 for |omega| below about 1.1e-16.
     """
     return np.array(
         [
