@@ -253,7 +253,8 @@ def _eig_one(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in order:
         mags = [abs(complex(r[j], i[j])) for r, i in zip(vr, vi)]
         least = PHASE_WINDOW * max(mags)
-        top = next(k for k, mag in enumerate(mags) if mag >= least)
+        # the first magnitude at or above least, found and indexed in C
+        top = mags.index(next(filter(least.__le__, mags)))
         factors.append((j, vr[top][j] / mags[top], -vi[top][j] / mags[top]))
     # the vectors in row-major order, real and imaginary parts interleaved
     out = []
