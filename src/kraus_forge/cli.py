@@ -174,7 +174,11 @@ def _resolve_parameterization(cfg_file: dict, args: SimpleNamespace, channel: st
         value = getattr(args, key)
         if value is not None:
             param[key] = value
-        _not_bool(param.get(key), key)
+        # a config-file value must be a JSON number: the records' float()
+        # would also read true, false and numeric strings
+        value = param.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+            raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
     if args.shift:
         param["shift"] = True
     # "shift" is the one boolean key; a null counts as absent, as for the numbers

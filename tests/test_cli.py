@@ -974,6 +974,11 @@ _BATH = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
           "--t-start", "0", "--t-end", "1", "--steps", "3"), {"bath": {"alpha": True}}),
         (("derive", "--channel", "pd", "--t", "1"),
          {"parameterization": {"kind": "rates", "rate": True}}),
+        # nor is a string that float() would read as one
+        (("derive", "--channel", "pd", "--t", "1"),
+         {"parameterization": {"kind": "rates", "rate": "1"}}),
+        (("derive", "--channel", "gad", "--t", "1"),
+         {"parameterization": {"kind": "physical", **_BATH, "alpha": "0.02"}}),
         # "shift" is a JSON boolean, not read by truthiness
         *((("derive", "--channel", "gad", "--t", "1"),
            {"parameterization": {"kind": "physical", "shift": value, **_BATH}})
