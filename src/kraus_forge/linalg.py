@@ -65,10 +65,8 @@ HERMITIAN_TOLERANCE = 1e-12
 #: cyclic Jacobi sweeps after which hermitian_eig gives up
 SWEEP_LIMIT = 60
 
-#: an eigenvector's phase is set by its lowest-index component whose magnitude
-#: is at least this fraction of the largest, so that roundoff cannot choose
-#: between components that tie in magnitude, as GAD's sigma-minus and
-#: sigma-plus components do
+#: an eigenvector's phase reference is its lowest-index component within this
+#: fraction of the largest magnitude, so roundoff cannot choose between near-ties
 PHASE_WINDOW = 1.0 - 2.0**-40
 
 # a member whose Frobenius norm lies outside this range is first scaled by a
