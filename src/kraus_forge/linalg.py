@@ -283,10 +283,10 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled back, so tiny, subnormal and huge members keep their spectrum.
     A one-member call runs the same operations on Python floats, which is
     faster for a single small matrix and gives the same bits; a stack that
-    holds a member to be scaled is decomposed member by member that way. Both use only
-    real ``+ - * /``, ``sqrt``, ``hypot`` and exact power-of-two scaling, so
-    the result does not depend on the BLAS kernel or on numpy's SIMD
-    dispatch.
+    holds a member to be scaled is decomposed member by member that way.
+    Both use only real ``+ - * /``, ``sqrt``, ``hypot`` and exact
+    power-of-two scaling, so the result does not depend on the BLAS kernel
+    or on numpy's SIMD dispatch.
 
     Raises NonHermitianInput if a member has a non-finite entry or deviates
     from Hermiticity by more than HERMITIAN_TOLERANCE, ConvergenceFailure

@@ -386,18 +386,6 @@ _SWEEP_ZERO_TEMPERATURE = (
         (("derive", "--channel", "pd", "--rate=-1", "--t", "1"), 2),
         (("derive", "--channel", "pd", "--physical", "--alpha=-1", "--omega0", "10",
           "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
-        (("derive", "--channel", "pd", "--physical", "--alpha", "inf", "--omega0", "10",
-          "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
-        # a missing channel, time or parameter, and a parameterization the channel lacks
-        (("derive", "--rate", "1", "--t", "1"), 2),
-        (("derive", "--channel", "pd", "--rate", "1"), 2),
-        (("derive", "--channel", "gad", "--scaled", "--theta", "1", "--tau", "1"), 2),
-        (("derive", "--channel", "gad", "--physical", "--alpha", "0.02", "--omega0", "10",
-          "--t", "1"), 2),
-        (("derive", "--channel", "gad", "--rates", "--y", "2", "--t", "1"), 2),
-        (("derive", "--channel", "pd", "--rates", "--t", "1"), 2),
-        (("derive", "--channel", "pd", "--scaled", "--theta", "1", "--omega=-1",
-          "--tau", "1"), 2),
         # non-finite times and unusable weight cutoffs are configuration errors
         (("derive", "--channel", "pd", "--rate", "1", "--t", "nan"), 2),
         (("derive", "--channel", "pd", "--rate", "1", "--t-start", "0",
@@ -412,6 +400,19 @@ _SWEEP_ZERO_TEMPERATURE = (
           "--tau=-1"), 3),
         (("derive", "--channel", "gad", "--rates", "--x", "0", "--y=2", "--z=1",
           "--t-start=-1", "--t-end", "1", "--steps", "3"), 3),
+        # a non-finite bath value
+        (("derive", "--channel", "pd", "--physical", "--alpha", "inf", "--omega0", "10",
+          "--cutoff", "15", "--temperature", "1", "--t", "1"), 2),
+        # a missing channel, time or parameter, and a parameterization the channel lacks
+        (("derive", "--rate", "1", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--rate", "1"), 2),
+        (("derive", "--channel", "gad", "--scaled", "--theta", "1", "--tau", "1"), 2),
+        (("derive", "--channel", "gad", "--physical", "--alpha", "0.02", "--omega0", "10",
+          "--t", "1"), 2),
+        (("derive", "--channel", "gad", "--rates", "--y", "2", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--rates", "--t", "1"), 2),
+        (("derive", "--channel", "pd", "--scaled", "--theta", "1", "--omega=-1",
+          "--tau", "1"), 2),
     ],
 )
 def test_derive_rejects_bad_input_with_documented_exit_code(capsys, argv, expected):
