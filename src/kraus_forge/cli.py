@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import re
 import shutil
@@ -43,6 +42,15 @@ class ConfigError(Exception):
 
 _GAD_PHYSICAL_KEYS = ("alpha", "omega0", "cutoff", "temperature")
 _PARAM_NUMBERS = ("theta", "omega", "tau", *_GAD_PHYSICAL_KEYS, "x", "y", "z", "rate")
+_PARAM_KINDS = ("scaled", "physical", "rates")
+# the parameterization keys each (channel, kind) needs; pd has no scaled kind
+_REQUIRED_KEYS = {
+    ("gad", "scaled"): ("theta", "omega"),
+    ("gad", "physical"): _GAD_PHYSICAL_KEYS,
+    ("gad", "rates"): ("y", "z"),
+    ("pd", "physical"): _GAD_PHYSICAL_KEYS,
+    ("pd", "rates"): ("rate",),
+}
 
 
 class RunConfig:
@@ -69,86 +77,91 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # invalid JSON, bytes that are not UTF-8, or an integer too long to read
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
 
 
-def _section(cfg_file: dict, key: str) -> dict:
-    # a config-file object such as "parameterization"; an absent one is empty
+def _merged(cfg_file: dict, key: str, **flags) -> dict:
+    """The config-file object ``key`` (absent, it is empty) with every given flag set over it."""
     section = cfg_file.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{key}' must be an object, got {section!r}")
-    return section
+    return {**section, **{name: value for name, value in flags.items() if value is not None}}
 
 
-def _not_bool(value, what: str):
-    # float() reads a JSON true or false as 1 or 0; neither is a number here
-    if isinstance(value, bool):
+def _number(value, what: str, minimum: float | None = None):
+    # value as given, if a JSON int or float within the doubles' range; a bool
+    # is none, and the range test is exact for any int and false for NaN
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {json.dumps(value)}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
-def _finite(value, what: str) -> float:
+def _count(value, what: str) -> int:
+    # a JSON int: 2.5 and true are rejected rather than truncated
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _text_number(text: str | None, what: str) -> float | None:
     try:
-        number = float(_not_bool(value, what))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be finite, got {number}")
-    return number
+        return None if text is None else float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from exc
 
 
-def _nonnegative(value, what: str) -> float:
-    number = _finite(value, what)
-    if number < 0.0:
-        raise ConfigError(f"{what} must be >= 0, got {number}")
-    return number
+def _text_list(text: str | None, what: str) -> list[float] | None:
+    # a comma-separated flag, read as a config-file list; empty parts are skipped
+    if text is not None:
+        return [_text_number(part, what) for part in text.split(",") if part.strip()]
+    return None
 
 
-def _finite_list(value, what: str) -> list[float]:
-    # a comma-separated flag or a config-file list
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    elif not isinstance(value, list):
+def _text_grid(text: str | None) -> list[int] | None:
+    # "24x12" from the flag, read as a config file's [24, 12]
+    try:
+        return None if text is None else [int(part) for part in text.lower().split("x")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse grid {text!r}, expected like 24x12") from exc
+
+
+def _number_list(value, what: str) -> list:
+    if not isinstance(value, list):
         raise ConfigError(f"{what} list must be comma-separated or a list, got {value!r}")
     if not value:
         raise ConfigError(f"{what} list is empty")
-    return [_finite(part, what) for part in value]
+    return [_number(part, what) for part in value]
 
 
 def _grid(value) -> tuple[int, int]:
-    # "24x12" from the flag or [24, 12] from a config file, read the same way
-    text = "x".join(str(part) for part in value) if isinstance(value, list) else str(value)
-    try:
-        n_u, n_v = (int(part) for part in text.lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse grid {value!r}, expected like 24x12") from exc
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"grid must hold two integers, got {json.dumps(value)}")
+    n_u, n_v = (_count(part, "grid count") for part in value)
     return n_u, n_v
 
 
 def _resolve_times(cfg_file: dict, args: SimpleNamespace, param: dict) -> list[float]:
     if getattr(args, "t", None) is not None:
-        return [_finite(args.t, "t")]
-    # for the scaled parameterization the time variable is tau itself
+        return [_number(args.t, "t")]
+    # for the scaled parameterization the time variable is tau itself, already checked
     if param.get("kind") == "scaled" and param.get("tau") is not None:
-        return [_finite(param["tau"], "tau")]
-    grid = _section(cfg_file, "time_grid")
-    start = args.t_start if args.t_start is not None else grid.get("start")
-    end = args.t_end if args.t_end is not None else grid.get("end")
-    steps = args.steps if args.steps is not None else grid.get("steps")
+        return [param["tau"]]
+    grid = _merged(cfg_file, "time_grid", start=args.t_start, end=args.t_end, steps=args.steps)
+    start, end, steps = grid.get("start"), grid.get("end"), grid.get("steps")
     if start is None or end is None or steps is None:
         raise ConfigError(
             "no time specified: use --t, --tau (scaled), or --t-start/--t-end/--steps"
         )
-    start, end = _finite(start, "t_start"), _finite(end, "t_end")
-    try:
-        # through str, so that 2.5 and true are rejected rather than truncated
-        steps = int(str(steps))
-    except ValueError as exc:
-        raise ConfigError(f"steps must be an integer, got {steps!r}") from exc
+    start, end, steps = _number(start, "t_start"), _number(end, "t_end"), _count(steps, "steps")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if start > end:
@@ -159,29 +172,18 @@ def _resolve_times(cfg_file: dict, args: SimpleNamespace, param: dict) -> list[f
 
 
 def _resolve_parameterization(cfg_file: dict, args: SimpleNamespace, channel: str) -> dict:
-    param = dict(_section(cfg_file, "parameterization"))
-    kinds = [
-        kind
-        for kind, flag in (("scaled", args.scaled), ("physical", args.physical), ("rates", args.rates))
-        if flag
-    ]
+    kinds = [kind for kind in _PARAM_KINDS if getattr(args, kind)]
     if len(kinds) > 1:
         raise ConfigError("give at most one of --scaled / --physical / --rates")
-    if kinds:
-        param["kind"] = kinds[0]
-
-    for key in _PARAM_NUMBERS:
-        value = getattr(args, key)
-        if value is not None:
-            param[key] = value
-        # a config-file value must be a JSON number: the records' float()
-        # would also read true, false and numeric strings
-        value = param.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
-            raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
-    if args.shift:
-        param["shift"] = True
-    # "shift" is the one boolean key; a null counts as absent, as for the numbers
+    numbers = {key: getattr(args, key) for key in _PARAM_NUMBERS}
+    kind = kinds[0] if kinds else None
+    param = _merged(cfg_file, "parameterization", kind=kind, **numbers, shift=args.shift or None)
+    # the records' float() would also read true, false and numeric strings;
+    # a null counts as absent
+    for key, value in param.items():
+        if value is not None and key in _PARAM_NUMBERS:
+            _number(value, key)
+    # "shift" is the one boolean key
     shift = param.get("shift")
     if shift is not None and not isinstance(shift, bool):
         raise ConfigError(f"shift must be true or false, got {json.dumps(shift)}")
@@ -198,23 +200,14 @@ def _resolve_parameterization(cfg_file: dict, args: SimpleNamespace, channel: st
             raise ConfigError("no parameterization given (use --scaled, --physical, or --rates)")
 
     kind = param["kind"]
-    if kind not in ("scaled", "physical", "rates"):
+    if kind not in _PARAM_KINDS:
         raise ConfigError(f"parameterization kind must be scaled, physical or rates, got {kind!r}")
-    if channel == "gad" and kind == "scaled":
-        if param.get("theta") is None or param.get("omega") is None:
-            raise ConfigError("scaled parameterization needs --theta and --omega")
-    elif kind == "physical":
-        missing = [k for k in _GAD_PHYSICAL_KEYS if param.get(k) is None]
-        if missing:
-            raise ConfigError(f"physical parameterization needs --{', --'.join(missing)}")
-    elif channel == "gad" and kind == "rates":
-        if param.get("y") is None or param.get("z") is None:
-            raise ConfigError("rates parameterization needs --y and --z (and optionally --x)")
-    elif channel == "pd" and kind == "rates":
-        if param.get("rate") is None:
-            raise ConfigError("pd rates parameterization needs --rate")
-    elif channel == "pd" and kind == "scaled":
-        raise ConfigError("the scaled parameterization applies to the gad channel only")
+    required = _REQUIRED_KEYS.get((channel, kind))
+    if required is None:
+        raise ConfigError(f"the {kind} parameterization applies to the gad channel only")
+    missing = [key for key in required if param.get(key) is None]
+    if missing:
+        raise ConfigError(f"{kind} parameterization needs --{', --'.join(missing)}")
     return param
 
 
@@ -237,41 +230,42 @@ def _config_from_args(args: SimpleNamespace) -> RunConfig:
         cutoff = args.weight_cutoff
         if cutoff is None:
             cutoff = cfg_file.get("weight_cutoff", WEIGHT_CUTOFF)
-        cfg.weight_cutoff = _nonnegative(cutoff, "weight cutoff")
+        cfg.weight_cutoff = _number(cutoff, "weight cutoff", minimum=0)
         cfg.parameterization = _resolve_parameterization(cfg_file, args, channel)
         cfg.times = _resolve_times(cfg_file, args, cfg.parameterization)
     elif args.command == "verify":
         cfg.channel = args.channel
-        tolerances = _section(cfg_file, "tolerances")
-        cfg.tolerances = {str(k): _nonnegative(v, f"tolerance {k}") for k, v in tolerances.items()}
-        env_tol = os.environ.get("KRAUS_FORGE_TOL")
+        tolerances = _merged(cfg_file, "tolerances")
+        cfg.tolerances = {k: _number(v, f"tolerance {k}", minimum=0) for k, v in tolerances.items()}
+        env_tol = _text_number(os.environ.get("KRAUS_FORGE_TOL"), "KRAUS_FORGE_TOL")
         # the environment variable takes precedence over the flag
         for what, value in (("--tol", args.tol), ("KRAUS_FORGE_TOL", env_tol)):
             if value is not None:
-                cfg.tol_override = _nonnegative(value, what)
+                cfg.tol_override = _number(value, what, minimum=0)
     else:
-        fig_file = _section(cfg_file, "figure")
-        cfg.figure = args.figure or fig_file.get("kind")
+        # the text flags are read first, so that they merge as JSON values
+        figure = _merged(
+            cfg_file, "figure", kind=args.figure, grid=_text_grid(args.grid),
+            temperatures=_text_list(args.temperatures, "temperature"),
+            times=_text_list(args.times, "time"),
+        )
+        cfg.figure = figure.get("kind")
         if cfg.figure not in ("bloch3d", "volume_rate"):
             raise ConfigError("figure kind must be 'bloch3d' or 'volume_rate'")
-        temps = args.temperatures or fig_file.get("temperatures")
-        if temps is None:
+        if figure.get("temperatures") is None:
             raise ConfigError("figure needs --temperatures")
-        cfg.temperatures = _finite_list(temps, "temperature")
+        cfg.temperatures = _number_list(figure["temperatures"], "temperature")
         if cfg.figure == "bloch3d":
-            times = args.times or fig_file.get("times")
-            if times is None:
+            if figure.get("times") is None:
                 raise ConfigError("bloch3d needs --times")
-            cfg.times = _finite_list(times, "time")
+            cfg.times = _number_list(figure["times"], "time")
         else:
             cfg.times = _resolve_times(cfg_file, args, {})
-        grid = args.grid or fig_file.get("grid")
-        if grid is not None:
-            cfg.grid = _grid(grid)
-        bath = dict(_section(cfg_file, "bath"))
+        if figure.get("grid") is not None:
+            cfg.grid = _grid(figure["grid"])
+        bath = _merged(cfg_file, "bath", alpha=args.alpha, omega0=args.omega0, cutoff=args.cutoff)
         for key, default in (("alpha", 0.02), ("omega0", 10.0), ("cutoff", 15.0)):
-            value = getattr(args, key)
-            bath[key] = _finite(value if value is not None else bath.get(key, default), key)
+            bath[key] = _number(bath.get(key, default), key)
         cfg.parameterization = bath
         if cfg.output is None:
             raise ConfigError("figure needs --output DIRECTORY")
@@ -426,8 +420,7 @@ def _derive_text(cfg: RunConfig) -> str:
             scaled = gad_mod.rescale(rates, 1.0)
             taus = scaled.tau * times
             generator = build_L(gad_mod.gad_generator(rates))
-    except (TypeError, ValueError) as exc:
-        # TypeError: a config-file value of the wrong JSON type, such as a list
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the route's keys close every point; their constants are rendered once
     route = []

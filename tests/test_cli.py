@@ -949,6 +949,11 @@ def test_negative_exponent_number_is_an_option_value(capsys):
 
 # a physical GAD bath, as config keys and as the flags of the same names
 _BATH = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
+# a 401-digit integer, beyond the largest double
+_HUGE = 10**400
+_VOLUME_RATE = (
+    "figure", "--figure", "volume_rate", "--t-start", "0", "--t-end", "1", "--steps", "3",
+)
 
 
 @pytest.mark.parametrize(
@@ -993,11 +998,33 @@ _BATH = {"alpha": 0.02, "omega0": 10, "cutoff": 15, "temperature": 100}
         (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), {"output": 5}),
         (("figure", "--figure", "bloch3d", "--temperatures", "100", "--times", "0.1"),
          {"output": None}),
+        # every config-file number is a JSON number, not a numeric string
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), {"weight_cutoff": "1e-12"}),
+        (("derive", "--channel", "pd", "--rate", "1", "--t-start", "0", "--t-end", "1"),
+         {"time_grid": {"steps": "3"}}),
+        (_VOLUME_RATE, {"figure": {"temperatures": ["100"]}}),
+        (("figure", "--figure", "bloch3d", "--temperatures", "100", "--times", "0.1"),
+         {"figure": {"grid": ["24", "12"]}}),
+        ((*_VOLUME_RATE, "--temperatures", "100"), {"bath": {"alpha": "0.02"}}),
+        (("verify", "--channel", "pd"), {"tolerances": {"pd_completeness": "1e-9"}}),
+        # an integer beyond the largest double, which float() cannot convert
+        (("derive", "--channel", "pd", "--rate", "1", "--t", "1"), {"weight_cutoff": _HUGE}),
+        (("derive", "--channel", "pd", "--t", "1"),
+         {"parameterization": {"kind": "rates", "rate": _HUGE}}),
+        ((*_VOLUME_RATE, "--temperatures", "100"), {"bath": {"alpha": _HUGE}}),
+        (("verify", "--channel", "pd"), {"tolerances": {"pd_completeness": _HUGE}}),
+        # a file that is not UTF-8, and an integer too long to read
+        pytest.param(("derive", "--channel", "pd", "--rate", "1", "--t", "1"),
+                     b'{"channel": "pd\xff"}', id="not-utf-8"),
+        pytest.param(("derive", "--channel", "pd", "--rate", "1", "--t", "1"),
+                     b'{"weight_cutoff": 1' + b"0" * 4999 + b"}", id="5000-digit-integer"),
     ],
 )
 def test_config_file_values_are_config_errors(capsys, tmp_path, argv, config):
     path = tmp_path / "run.json"
-    if config is not None:
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    elif config is not None:
         path.write_text(json.dumps(config))
     out_path = tmp_path / "out"
     # the --output flag would win over a file's "output", so such a file goes without it
