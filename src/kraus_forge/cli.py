@@ -51,6 +51,9 @@ _REQUIRED_KEYS = {
     ("pd", "physical"): _GAD_PHYSICAL_KEYS,
     ("pd", "rates"): ("rate",),
 }
+# the most float64 values one array can hold; numpy raises ValueError, not
+# MemoryError, for a count beyond it
+_MAX_FLOATS = sys.maxsize // 8
 
 
 class RunConfig:
@@ -146,6 +149,8 @@ def _grid(value) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"grid must hold two integers, got {json.dumps(value)}")
     n_u, n_v = (_count(part, "grid count") for part in value)
+    if min(n_u, n_v) > 1 and n_u * n_v > _MAX_FLOATS:
+        raise MemoryError(f"a {n_u}x{n_v} grid is more values than an array can hold")
     return n_u, n_v
 
 
@@ -164,6 +169,8 @@ def _resolve_times(cfg_file: dict, args: SimpleNamespace, param: dict) -> list[f
     start, end, steps = _number(start, "t_start"), _number(end, "t_end"), _count(steps, "steps")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    if steps > _MAX_FLOATS:
+        raise MemoryError(f"{steps} steps are more values than an array can hold")
     if start > end:
         raise ConfigError(f"t_start {start} exceeds t_end {end}")
     if steps == 1:

@@ -449,10 +449,16 @@ def test_pipeline_error_exit_code(capsys):
          "--t-start", "0", "--t-end", "1", "--steps", "1000000000000000"),
         ("figure", "--figure", "bloch3d", "--temperatures", "1", "--times", "0.1",
          "--grid", "1000000000000000x2"),
+        # counts beyond numpy's index range, where numpy raises ValueError
+        ("derive", "--channel", "gad", "--rates", "--y", "1", "--z", "0",
+         "--t-start", "0", "--t-end", "1", "--steps", "100000000000000000000"),
+        ("figure", "--figure", "bloch3d", "--temperatures", "1", "--times", "0.1",
+         "--grid", "100000000000000000000x2"),
     ],
 )
 def test_oversized_grid_is_a_pipeline_error(capsys, tmp_path, argv):
-    # each first allocation is 8 PB, which fails at once on any 64-bit host
+    # each first allocation is 8 PB, which fails at once on any 64-bit host;
+    # the counts beyond numpy's range are refused before any allocation
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, *argv, "--output", str(out_dir))
     assert code == 3
