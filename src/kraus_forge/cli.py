@@ -522,27 +522,24 @@ def cmd_figure(cfg: RunConfig) -> int:
         ]
         if cfg.figure == "bloch3d":
             uv = bloch_mod.spherical_grid(*cfg.grid)
-            names = [
-                f"bloch3d_T{temperature:g}_t{t:g}.csv"
-                for temperature, _ in baths
+            # (file name, closed-form propagator) of each frame
+            frames = [
+                (f"bloch3d_T{temperature:g}_t{t:g}.csv",
+                 gad_mod.gad_F_closed(gad_mod.rescale(rates, t)))
+                for temperature, rates in baths
                 for t in cfg.times
             ]
-            # the closed-form propagator of every frame, (files, 4, 4)
-            propagators = np.stack([
-                gad_mod.gad_F_closed(gad_mod.rescale(rates, t))
-                for _, rates in baths
-                for t in cfg.times
-            ])
         else:
-            names = [f"volume_rate_T{temperature:g}.csv" for temperature, _ in baths]
-            # one scalar per row: the rows are the checked inputs themselves
-            tables = [
-                np.array([[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times])
-                for _, rates in baths
+            # (file name, table) of each frame; the rows are the checked inputs themselves
+            frames = [
+                (f"volume_rate_T{temperature:g}.csv",
+                 np.array([[t, bloch_mod.volume_rate(rates, t)] for t in cfg.times]))
+                for temperature, rates in baths
             ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # %g keeps six significant digits, so distinct values can share a name
+    names = [name for name, _ in frames]
     if len(set(names)) < len(names):
         name = next(name for name in names if names.count(name) > 1)
         raise ConfigError(f"two frames would write the same file {name}")
@@ -556,12 +553,12 @@ def cmd_figure(cfg: RunConfig) -> int:
         # the Bloch map n -> M n + b is M = F[1:, 1:], b = F[1:, 0]; it is
         # applied one file at a time, so one frame's points are held at once
         directions = bloch_mod.grid_directions(uv)
-        tables = (directions @ f[1:, 1:].T + f[1:, 0] for f in propagators)
+        frames = ((name, directions @ f[1:, 1:].T + f[1:, 0]) for name, f in frames)
     else:
         header = "t,kappa\r\n"
         template = "%.12g,%.12g\r\n" * len(cfg.times)
     os.makedirs(cfg.output, exist_ok=True)
-    for name, table in zip(names, tables):
+    for name, table in frames:
         path = os.path.join(cfg.output, name)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(header + template % tuple(table.ravel().tolist()))
