@@ -276,6 +276,13 @@ def test_verify_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path, monke
     assert not report.exists()
 
 
+def test_tolerance_environment_variable_must_be_a_number(capsys, monkeypatch):
+    monkeypatch.setenv("KRAUS_FORGE_TOL", "abc")
+    assert run_cli(capsys, "verify", "--channel", "pd") == (
+        2, "", "config error: KRAUS_FORGE_TOL must be a number, got 'abc'\n"
+    )
+
+
 def test_figure_bloch3d_outputs(capsys, tmp_path):
     out_dir = tmp_path / "figs"
     code, out, _ = run_cli(
@@ -679,6 +686,10 @@ _BLOCH3D = ("figure", "--figure", "bloch3d", "--temperatures", "100", "--times",
         ("figure", "--temperatures", "100", "--times", "0.1"),
         ("figure", "--figure", "bloch3d", "--times", "0.1"),
         ("figure", "--figure", "bloch3d", "--temperatures", "100"),
+        # text that is no number or grid, and an empty grid, which is not the default
+        (*_BLOCH3D, "--temperatures", "100,abc"),
+        (*_BLOCH3D, "--grid", "24x"),
+        (*_BLOCH3D, "--grid", ""),
     ],
 )
 def test_figure_rejects_bad_input_before_writing(capsys, tmp_path, argv):
