@@ -89,7 +89,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merged(cfg_file: dict, key: str, **flags) -> dict:
-    """The config-file object ``key`` (absent, it is empty) with every given flag set over it."""
+    """The config-file object ``key``, empty if absent, with every given flag set over it."""
     section = cfg_file.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{key}' must be an object, got {section!r}")
@@ -139,7 +139,7 @@ def _text_grid(text: str | None) -> list[int] | None:
 
 def _number_list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{what} list must be comma-separated or a list, got {value!r}")
+        raise ConfigError(f"{what}s must be a list, got {json.dumps(value)}")
     if not value:
         raise ConfigError(f"{what} list is empty")
     return [_number(part, what) for part in value]
@@ -196,7 +196,7 @@ def _resolve_parameterization(cfg_file: dict, args: SimpleNamespace, channel: st
         raise ConfigError(f"shift must be true or false, got {json.dumps(shift)}")
 
     if "kind" not in param:
-        # infer from which flags are present
+        # infer from which keys are present
         if channel == "pd" and param.get("rate") is not None:
             param["kind"] = "rates"
         elif all(param.get(k) is not None for k in _GAD_PHYSICAL_KEYS):
