@@ -124,9 +124,9 @@ def _text_number(text: str | None, what: str) -> float | None:
 
 def _text_list(text: str | None, what: str) -> list[float] | None:
     # a comma-separated flag, read as a config-file list; empty parts are skipped
-    if text is not None:
-        return [_text_number(part, what) for part in text.split(",") if part.strip()]
-    return None
+    if text is None:
+        return None
+    return [_text_number(part, what) for part in text.split(",") if part.strip()]
 
 
 def _text_grid(text: str | None) -> list[int] | None:
